@@ -33,7 +33,10 @@
                 instance per request). Both report completed client
                 requests as their event count — the mode-invariant work
                 unit — so events/sec is requests/sec and the
-                pbftbatch:pbftbatchuni ratio is the batching speedup.
+                pbftbatch:pbftbatchuni ratio is the batching speedup;
+   - [hwmc]     the hardware layer: E1's gate-level Monte Carlo on the
+                8-input/400-gate random module as TMR with a fallible
+                voter. Its event count is Monte-Carlo trials.
 
    Each workload runs [runs] times; we report the best wall time (least
    noisy) and the minimum allocated bytes per event (steady-state floor).
@@ -56,6 +59,8 @@ module Paxos = Resoc_repl.Paxos
 module Soc = Resoc_core.Soc
 module Group = Resoc_core.Group
 module Generator = Resoc_workload.Generator
+module Circuit = Resoc_hw.Circuit
+module Redundancy = Resoc_hw.Redundancy
 
 type result = {
   id : string;
@@ -245,6 +250,21 @@ let paxos_kern ~requests ~repeat () =
   done;
   !total
 
+(* Hardware-layer kernel: [Redundancy.mc_circuit_correct] on E1's module
+   as TMR at a mid-ladder p_gate. Every call runs the same number of
+   trials, so allocation per trial is the same in quick and full mode; the
+   circuit is built once, outside the measured region. *)
+let hw_mc ~calls =
+  let rng = Rng.create 0xE1L in
+  let tmr = Circuit.replicate_with_voter (Circuit.random_logic rng ~n_inputs:8 ~n_gates:400) 3 in
+  let trials = 20_000 in
+  fun () ->
+    for i = 0 to calls - 1 do
+      ignore
+        (Redundancy.mc_circuit_correct (Rng.create (Rng.derive 0xE1L i)) tmr ~trials ~p_gate:0.002)
+    done;
+    calls * trials
+
 (* --- measurement --- *)
 
 let measure ~id ~runs f =
@@ -321,6 +341,7 @@ let run ~quick ~json_dir ~progress () =
         ("bftcastuni", bft_cast ~multicast:false ~rounds:200 ~repeat:2);
         ("pbftbatch", pbft_batch ~batching:true ~requests:200 ~repeat:4);
         ("pbftbatchuni", pbft_batch ~batching:false ~requests:200 ~repeat:4);
+        ("hwmc", hw_mc ~calls:8);
       ]
     else
       [
@@ -333,6 +354,7 @@ let run ~quick ~json_dir ~progress () =
         ("bftcastuni", bft_cast ~multicast:false ~rounds:600 ~repeat:4);
         ("pbftbatch", pbft_batch ~batching:true ~requests:400 ~repeat:8);
         ("pbftbatchuni", pbft_batch ~batching:false ~requests:400 ~repeat:8);
+        ("hwmc", hw_mc ~calls:40);
       ]
   in
   let results =

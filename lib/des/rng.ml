@@ -55,14 +55,16 @@ let exponential t ~mean =
 
 (* Endpoints are pinned by test_des: p = 1.0 deterministically returns 0
    (success on the first trial, no draw consumed); p = 0.0 would divide by
-   log 1.0 = 0 and p > 1.0 makes log (1-p) a NaN, so both are rejected. *)
+   log 1.0 = 0 and p > 1.0 or a NaN p make the log a NaN, so all three are
+   rejected. [log1p] keeps tiny p exact: below ~1e-16, [1.0 -. p] rounds
+   to 1.0 and [log (1.0 -. p)] to 0, which turned every draw into 0. *)
 let geometric t ~p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric: p must be in (0,1]";
+  if not (p > 0.0 && p <= 1.0) then invalid_arg "Rng.geometric: p must be in (0,1]";
   if p >= 1.0 then 0
   else
     let u = float t 1.0 in
     let u = if u <= 0.0 then Float.min_float else u in
-    let v = Float.floor (log u /. log (1.0 -. p)) in
+    let v = Float.floor (log u /. Float.log1p (-.p)) in
     (* int_of_float is undefined past the int range; a min_float draw at
        tiny p can push the quotient there. *)
     if v >= float_of_int max_int then max_int else int_of_float v

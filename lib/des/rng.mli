@@ -47,7 +47,10 @@ val exponential : t -> mean:float -> float
 (** Exponential variate with the given mean. *)
 
 val geometric : t -> p:float -> int
-(** Number of Bernoulli(p) failures before the first success; 0-based. *)
+(** Number of Bernoulli(p) failures before the first success; 0-based.
+    One draw, none at [p = 1]. Values past the int range clamp to
+    [max_int], which tiny [p] reaches routinely. Raises
+    [Invalid_argument] unless [0 < p <= 1] (NaN included). *)
 
 val poisson : t -> mean:float -> int
 (** Poisson variate (Knuth's method; suitable for small-to-moderate means). *)

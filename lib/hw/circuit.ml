@@ -41,6 +41,16 @@ let n_outputs t = Array.length t.outputs
 let gate_count t =
   Array.fold_left (fun acc k -> if is_fallible k then acc + 1 else acc) 0 t.gates
 
+let size t = Array.length t.gates
+let outputs t = Array.copy t.outputs
+
+let fallible_gates t =
+  let acc = ref [] in
+  for i = Array.length t.gates - 1 downto 0 do
+    if is_fallible t.gates.(i) then acc := i :: !acc
+  done;
+  Array.of_list !acc
+
 let eval_gate values inputs = function
   | Input k -> inputs.(k)
   | Const b -> b
@@ -52,21 +62,42 @@ let eval_gate values inputs = function
   | Nand (a, b) -> not (values.(a) && values.(b))
   | Nor (a, b) -> not (values.(a) || values.(b))
 
-let eval_with t inputs upset =
+let eval_flipped t ~flipped inputs =
   if Array.length inputs <> t.n_inputs then invalid_arg "Circuit.eval: wrong input arity";
   let values = Array.make (Array.length t.gates) false in
   Array.iteri
     (fun i k ->
       let v = eval_gate values inputs k in
-      let v = if is_fallible k && upset () then not v else v in
+      let v = if is_fallible k && flipped i then not v else v in
       values.(i) <- v)
     t.gates;
   Array.map (fun o -> values.(o)) t.outputs
 
-let eval t inputs = eval_with t inputs (fun () -> false)
+let eval t inputs = eval_flipped t ~flipped:(fun _ -> false) inputs
 
-let eval_faulty t rng ~p_gate inputs =
-  eval_with t inputs (fun () -> Resoc_des.Rng.bernoulli rng p_gate)
+let eval_words t ~inputs ~flips values =
+  let n = Array.length t.gates in
+  if Array.length inputs <> t.n_inputs then invalid_arg "Circuit.eval_words: wrong input arity";
+  if Array.length flips <> n || Array.length values <> n then
+    invalid_arg "Circuit.eval_words: flips and values need one word per gate";
+  (* [build] checked every operand against its gate's index, so the reads
+     below stay in bounds. *)
+  let get a = Array.unsafe_get values a in
+  for i = 0 to n - 1 do
+    let v =
+      match Array.unsafe_get t.gates i with
+      | Input k -> Array.unsafe_get inputs k
+      | Const b -> if b then -1 else 0
+      | Not a -> lnot (get a) lxor Array.unsafe_get flips i
+      | Buf a -> get a lxor Array.unsafe_get flips i
+      | And (a, b) -> (get a land get b) lxor Array.unsafe_get flips i
+      | Or (a, b) -> (get a lor get b) lxor Array.unsafe_get flips i
+      | Xor (a, b) -> (get a lxor get b) lxor Array.unsafe_get flips i
+      | Nand (a, b) -> lnot (get a land get b) lxor Array.unsafe_get flips i
+      | Nor (a, b) -> lnot (get a lor get b) lxor Array.unsafe_get flips i
+    in
+    Array.unsafe_set values i v
+  done
 
 (* --- builders --- *)
 

@@ -30,12 +30,37 @@ val n_outputs : t -> int
 val gate_count : t -> int
 (** Number of fallible gates (inputs and constants excluded). *)
 
+val size : t -> int
+(** Number of netlist nodes, inputs and constants included: gate indices
+    run over [0, size). *)
+
+val outputs : t -> int array
+(** Gate indices of the outputs, in output order (a fresh copy). *)
+
+val fallible_gates : t -> int array
+(** Indices of the fallible gates (everything but inputs and constants),
+    ascending; its length is {!gate_count}. *)
+
 val eval : t -> bool array -> bool array
 (** Fault-free evaluation. *)
 
-val eval_faulty : t -> Resoc_des.Rng.t -> p_gate:float -> bool array -> bool array
-(** Evaluation in which every fallible gate's output flips independently
-    with probability [p_gate]. *)
+val eval_flipped : t -> flipped:(int -> bool) -> bool array -> bool array
+(** Evaluation in which the output of every fallible gate [i] with
+    [flipped i] is inverted; [flipped] is asked once per fallible gate, in
+    index order. The scalar reference for {!eval_words}. *)
+
+val eval_words : t -> inputs:int array -> flips:int array -> int array -> unit
+(** [eval_words t ~inputs ~flips values] is a bit-sliced evaluation: every
+    bit lane of an OCaml [int] ([Sys.int_size] of them, 63 on 64-bit hosts)
+    is one independent evaluation. [inputs.(k)] holds input [k]'s bit in
+    every lane; each gate is evaluated once with [land]/[lor]/[lxor]/[lnot]
+    and a fallible gate [i]'s word is then XORed with [flips.(i)], so lane
+    [l] of gate [i] is upset iff bit [l] of [flips.(i)] is set ([flips] of
+    inputs and constants is ignored). Every gate's word is written to
+    [values]. Lane [l] of [values.(o)] for an output [o] equals
+    [eval_flipped] on lane [l]'s inputs with lane [l]'s flips. [flips] and
+    [values] need {!size} words, [inputs] {!n_inputs}; raises
+    [Invalid_argument] otherwise. Allocates nothing. *)
 
 (** Library of builders. *)
 

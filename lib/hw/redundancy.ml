@@ -24,27 +24,91 @@ let r_tmr r = r_nmr ~n:3 r
 
 let r_nmr_with_voter ~n ~voter r = voter *. r_nmr ~n r
 
+module Rng = Resoc_des.Rng
+
+let check_probability name p =
+  if not (p >= 0.0 && p <= 1.0) then invalid_arg (name ^ " must be in [0,1]")
+
+(* Fault placement by geometric skip: with every position failing
+   independently with probability [p], the gap to the next failure is
+   geometric, so one draw finds the next faulty position. [p = 0] never
+   fails; the [max_int] clamp stands for "beyond any position". *)
+let next_fault rng ~p pos =
+  if p <= 0.0 then max_int
+  else
+    let skip = Rng.geometric rng ~p in
+    if skip >= max_int - pos - 1 then max_int else pos + 1 + skip
+
 let mc_module_nmr rng ~n ~trials ~p_fail =
   if trials <= 0 then invalid_arg "Redundancy.mc_module_nmr: trials must be positive";
-  let majority = (n / 2) + 1 in
+  if n < 1 || n mod 2 = 0 then invalid_arg "Redundancy.mc_module_nmr: n must be odd and positive";
+  check_probability "Redundancy.mc_module_nmr: p_fail" p_fail;
+  if trials > max_int / n then invalid_arg "Redundancy.mc_module_nmr: too many trials";
+  (* Position [t * n + m] is module [m] of trial [t]. Faults arrive in
+     position order, so each trial's failure count is streamed and the
+     trial counted once, when its failures first outvote the rest. *)
+  let outvoted = (n + 1) / 2 in
+  let positions = trials * n in
   let failures = ref 0 in
-  for _ = 1 to trials do
-    let ok = ref 0 in
-    for _ = 1 to n do
-      if not (Resoc_des.Rng.bernoulli rng p_fail) then incr ok
-    done;
-    if !ok < majority then incr failures
+  let trial = ref (-1) in
+  let count = ref 0 in
+  let pos = ref (next_fault rng ~p:p_fail (-1)) in
+  while !pos < positions do
+    let t = !pos / n in
+    if t <> !trial then begin
+      trial := t;
+      count := 0
+    end;
+    incr count;
+    if !count = outvoted then incr failures;
+    pos := next_fault rng ~p:p_fail !pos
   done;
   float_of_int !failures /. float_of_int trials
 
+let lanes = Sys.int_size
+
+let rec popcount acc x = if x = 0 then acc else popcount (acc + 1) (x land (x - 1))
+
 let mc_circuit_correct rng circuit ~trials ~p_gate =
   if trials <= 0 then invalid_arg "Redundancy.mc_circuit_correct: trials must be positive";
-  let n_in = Circuit.n_inputs circuit in
+  check_probability "Redundancy.mc_circuit_correct: p_gate" p_gate;
+  let size = Circuit.size circuit in
+  let fallible = Circuit.fallible_gates circuit in
+  let outputs = Circuit.outputs circuit in
+  let inputs = Array.make (Circuit.n_inputs circuit) 0 in
+  let flips = Array.make size 0 in
+  let values = Array.make size 0 in
+  let golden = Array.make (Array.length outputs) 0 in
   let correct = ref 0 in
-  for _ = 1 to trials do
-    let inputs = Array.init n_in (fun _ -> Resoc_des.Rng.bool rng) in
-    let golden = Circuit.eval circuit inputs in
-    let faulty = Circuit.eval_faulty circuit rng ~p_gate inputs in
-    if golden = faulty then incr correct
+  (* A batch runs [active] trials, one per lane. Its fault positions are
+     [j * active + lane] for fallible gate [j]; [next] is the next faulty
+     position counted from the batch's start, carried into the next batch. *)
+  let next = ref (next_fault rng ~p:p_gate (-1)) in
+  let remaining = ref trials in
+  while !remaining > 0 do
+    let active = min lanes !remaining in
+    let span = active * Array.length fallible in
+    if !next >= span then correct := !correct + active
+    else begin
+      for k = 0 to Array.length inputs - 1 do
+        inputs.(k) <- Int64.to_int (Rng.int64 rng)
+      done;
+      (* [flips] is all zero between batches: the golden run. *)
+      Circuit.eval_words circuit ~inputs ~flips values;
+      Array.iteri (fun o g -> golden.(o) <- values.(g)) outputs;
+      while !next < span do
+        let g = fallible.(!next / active) in
+        flips.(g) <- flips.(g) lor (1 lsl (!next mod active));
+        next := next_fault rng ~p:p_gate !next
+      done;
+      Circuit.eval_words circuit ~inputs ~flips values;
+      (* Lanes past [active] get no flips, so they never differ. *)
+      let wrong = ref 0 in
+      Array.iteri (fun o g -> wrong := !wrong lor (golden.(o) lxor values.(g))) outputs;
+      correct := !correct + active - popcount 0 !wrong;
+      Array.fill flips 0 size 0
+    end;
+    if !next < max_int then next := !next - span;
+    remaining := !remaining - active
   done;
   float_of_int !correct /. float_of_int trials

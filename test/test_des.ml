@@ -168,10 +168,14 @@ let test_geometric_endpoints () =
   Alcotest.check_raises "p=0 rejected" err (fun () -> ignore (Rng.geometric r ~p:0.0));
   Alcotest.check_raises "p<0 rejected" err (fun () -> ignore (Rng.geometric r ~p:(-0.5)));
   Alcotest.check_raises "p>1 rejected" err (fun () -> ignore (Rng.geometric r ~p:1.5));
+  Alcotest.check_raises "NaN p rejected" err (fun () -> ignore (Rng.geometric r ~p:Float.nan));
   (* Tiny p: the draw can push the quotient past the int range; the clamp
-     must keep the result a non-negative int instead of wrapping. *)
+     must keep the result a non-negative int instead of wrapping. Below
+     ~1e-16, log (1 - p) rounds to 0 and every draw used to come out 0:
+     a near-certain failure at a near-impossible p. *)
   for _ = 1 to 1000 do
-    Alcotest.(check bool) "tiny p non-negative" true (Rng.geometric r ~p:1e-300 >= 0)
+    Alcotest.(check bool) "tiny p non-negative" true (Rng.geometric r ~p:1e-300 >= 0);
+    Alcotest.(check bool) "tiny p far out" true (Rng.geometric r ~p:1e-18 > 1_000_000)
   done
 
 let test_poisson_endpoints () =

@@ -172,11 +172,22 @@ let test_circuit_validation () =
       ignore (Circuit.build ~n_inputs:1 [| Circuit.Not 1; Circuit.Input 0 |] ~outputs:[| 0 |]))
 
 let test_circuit_no_faults_at_p0 () =
+  (* With no flips, lane [l] of the bit-sliced evaluation is the golden
+     evaluation of input pattern [l]; all 16 patterns run in one word. *)
   let rng = Rng.create 5L in
   let c = Circuit.random_logic rng ~n_inputs:4 ~n_gates:50 in
-  let inputs = [| true; false; true; true |] in
-  Alcotest.(check (array bool)) "p=0 equals golden" (Circuit.eval c inputs)
-    (Circuit.eval_faulty c rng ~p_gate:0.0 inputs)
+  let pattern l = Array.init 4 (fun k -> (l lsr k) land 1 = 1) in
+  let inputs = Array.make 4 0 in
+  for l = 0 to 15 do
+    Array.iteri (fun k b -> if b then inputs.(k) <- inputs.(k) lor (1 lsl l)) (pattern l)
+  done;
+  let values = Array.make (Circuit.size c) 0 in
+  Circuit.eval_words c ~inputs ~flips:(Array.make (Circuit.size c) 0) values;
+  let out = (Circuit.outputs c).(0) in
+  for l = 0 to 15 do
+    Alcotest.(check bool) (Printf.sprintf "pattern %d" l) (Circuit.eval c (pattern l)).(0)
+      ((values.(out) lsr l) land 1 = 1)
+  done
 
 let test_circuit_gate_count () =
   Alcotest.(check int) "majority3 gates" 5 (Circuit.gate_count Circuit.majority3)
@@ -256,6 +267,157 @@ let test_mc_matches_analytic () =
     (Printf.sprintf "mc=%f analytic=%f" mc analytic)
     true
     (Float.abs (mc -. analytic) < 0.005)
+
+(* --- Bit-sliced Monte Carlo --- *)
+
+(* One of the library's circuit shapes, built from [rng]. *)
+let random_circuit rng shape =
+  match shape with
+  | 0 -> Circuit.random_logic rng ~n_inputs:(1 + Rng.int rng 8) ~n_gates:(1 + Rng.int rng 60)
+  | 1 -> Circuit.majority ((2 * Rng.int rng 5) + 1)
+  | 2 -> Circuit.xor_tree (1 + Rng.int rng 12)
+  | _ ->
+    let c = Circuit.random_logic rng ~n_inputs:(1 + Rng.int rng 4) ~n_gates:(1 + Rng.int rng 20) in
+    Circuit.replicate_with_voter c ((2 * Rng.int rng 3) + 1)
+
+let bit word lane = (word lsr lane) land 1 = 1
+
+(* Lane [l] of [eval_words] must be the scalar evaluation of lane [l]'s
+   inputs under lane [l]'s flips; lanes past [active] carry garbage that
+   must not matter. *)
+let prop_eval_words_matches_scalar =
+  QCheck.Test.make ~name:"eval_words lane = eval_flipped" ~count:300
+    QCheck.(triple (int_bound 3) (int_range 1 Sys.int_size) int64)
+    (fun (shape, active, seed) ->
+      let rng = Rng.create seed in
+      let c = random_circuit rng shape in
+      let inputs = Array.init (Circuit.n_inputs c) (fun _ -> Int64.to_int (Rng.int64 rng)) in
+      let density = Rng.pick rng [| 0.0; 0.05; 0.3; 1.0 |] in
+      let flips = Array.make (Circuit.size c) 0 in
+      Array.iter
+        (fun g ->
+          for lane = 0 to active - 1 do
+            if Rng.bernoulli rng density then flips.(g) <- flips.(g) lor (1 lsl lane)
+          done)
+        (Circuit.fallible_gates c);
+      let values = Array.make (Circuit.size c) 0 in
+      Circuit.eval_words c ~inputs ~flips values;
+      let outputs = Circuit.outputs c in
+      List.for_all
+        (fun lane ->
+          let scalar =
+            Circuit.eval_flipped c
+              ~flipped:(fun g -> bit flips.(g) lane)
+              (Array.map (fun w -> bit w lane) inputs)
+          in
+          Array.for_all2 (fun o v -> bit values.(o) lane = v) outputs scalar)
+        (List.init active Fun.id))
+
+let xor_chain k = Circuit.xor_tree (k + 1)
+
+let test_mc_endpoints () =
+  let rng = Rng.create 21L in
+  let c = Circuit.random_logic rng ~n_inputs:6 ~n_gates:200 in
+  let tmr = Circuit.replicate_with_voter c 3 in
+  List.iter
+    (fun circuit ->
+      Alcotest.(check (float 0.0)) "p=0 always correct" 1.0
+        (Redundancy.mc_circuit_correct rng circuit ~trials:500 ~p_gate:0.0);
+      Alcotest.(check (float 0.0)) "p=1e-300 always correct" 1.0
+        (Redundancy.mc_circuit_correct rng circuit ~trials:500 ~p_gate:1e-300))
+    [ c; tmr ];
+  Alcotest.(check (float 0.0)) "nmr p=0 never fails" 0.0
+    (Redundancy.mc_module_nmr rng ~n:3 ~trials:500 ~p_fail:0.0);
+  Alcotest.(check (float 0.0)) "nmr p=1e-300 never fails" 0.0
+    (Redundancy.mc_module_nmr rng ~n:5 ~trials:500 ~p_fail:1e-300);
+  (* p = 1 flips every gate: a k-gate XOR chain is right iff k is even. *)
+  for k = 1 to 6 do
+    Alcotest.(check (float 0.0))
+      (Printf.sprintf "p=1 xor chain of %d" k)
+      (if k mod 2 = 0 then 1.0 else 0.0)
+      (Redundancy.mc_circuit_correct rng (xor_chain k) ~trials:100 ~p_gate:1.0)
+  done;
+  List.iter
+    (fun n ->
+      Alcotest.(check (float 0.0)) (Printf.sprintf "nmr%d p=1 always fails" n) 1.0
+        (Redundancy.mc_module_nmr rng ~n ~trials:100 ~p_fail:1.0))
+    [ 1; 3; 5 ]
+
+let test_mc_trial_counts () =
+  (* Partial last words must count only their active lanes. *)
+  let rng = Rng.create 22L in
+  let c = xor_chain 32 in
+  List.iter
+    (fun trials ->
+      List.iter
+        (fun p_gate ->
+          let count = Redundancy.mc_circuit_correct rng c ~trials ~p_gate *. float_of_int trials in
+          Alcotest.(check bool)
+            (Printf.sprintf "%d trials at p=%g: %f correct" trials p_gate count)
+            true
+            (Float.abs (count -. Float.round count) < 1e-6 && Float.round count <= float_of_int trials))
+        [ 0.0; 0.01; 0.3; 1.0 ])
+    [ 1; 62; 63; 64; 4000 ]
+
+let test_mc_rejects_bad_arguments () =
+  let c = xor_chain 4 in
+  let rng = Rng.create 23L in
+  let bad_p = Invalid_argument "Redundancy.mc_circuit_correct: p_gate must be in [0,1]" in
+  List.iter
+    (fun p_gate ->
+      Alcotest.check_raises (Printf.sprintf "p_gate %g" p_gate) bad_p (fun () ->
+          ignore (Redundancy.mc_circuit_correct rng c ~trials:10 ~p_gate)))
+    [ Float.nan; -0.1; 1.5 ];
+  let bad_p = Invalid_argument "Redundancy.mc_module_nmr: p_fail must be in [0,1]" in
+  List.iter
+    (fun p_fail ->
+      Alcotest.check_raises (Printf.sprintf "p_fail %g" p_fail) bad_p (fun () ->
+          ignore (Redundancy.mc_module_nmr rng ~n:3 ~trials:10 ~p_fail)))
+    [ Float.nan; -0.1; 1.5 ];
+  let bad_n = Invalid_argument "Redundancy.mc_module_nmr: n must be odd and positive" in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Printf.sprintf "n=%d" n) bad_n (fun () ->
+          ignore (Redundancy.mc_module_nmr rng ~n ~trials:10 ~p_fail:0.1)))
+    [ 0; 2; 4; -1 ]
+
+(* Standard score of a Monte-Carlo proportion against its exact value. *)
+let z_score ~estimate ~exact ~trials =
+  (estimate -. exact) /. sqrt (exact *. (1.0 -. exact) /. float_of_int trials)
+
+let test_mc_xor_chains_closed_form () =
+  (* An upset of any gate of an XOR chain flips its output, so the chain is
+     right iff an even number of its k gates failed: (1 + (1-2p)^k) / 2. *)
+  let trials = 20_000 in
+  List.iter
+    (fun seed ->
+      let rng = Rng.create seed in
+      List.iter
+        (fun k ->
+          List.iter
+            (fun p_gate ->
+              let exact = (1.0 +. ((1.0 -. (2.0 *. p_gate)) ** float_of_int k)) /. 2.0 in
+              let estimate = Redundancy.mc_circuit_correct rng (xor_chain k) ~trials ~p_gate in
+              let z = z_score ~estimate ~exact ~trials in
+              Alcotest.(check bool)
+                (Printf.sprintf "seed %Ld k=%d p=%g: %.5f vs %.5f (z=%.2f)" seed k p_gate estimate
+                   exact z)
+                true
+                (Float.abs z <= 5.0))
+            [ 0.001; 0.005; 0.02 ])
+        [ 16; 64; 256 ];
+      List.iter
+        (fun n ->
+          let p_fail = 0.1 in
+          let exact = 1.0 -. Redundancy.r_nmr ~n (1.0 -. p_fail) in
+          let estimate = Redundancy.mc_module_nmr rng ~n ~trials ~p_fail in
+          let z = z_score ~estimate ~exact ~trials in
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %Ld nmr%d: %.5f vs %.5f (z=%.2f)" seed n estimate exact z)
+            true
+            (Float.abs z <= 5.0))
+        [ 3; 5; 7 ])
+    [ 1L; 2L; 3L; 4L; 5L ]
 
 (* --- Aging --- *)
 
@@ -390,7 +552,12 @@ let () =
           Alcotest.test_case "nmr monotone" `Quick test_nmr_monotone_in_n;
           Alcotest.test_case "voter penalty" `Quick test_nmr_voter_penalty;
           Alcotest.test_case "monte carlo matches analytic" `Slow test_mc_matches_analytic;
+          Alcotest.test_case "mc endpoints" `Quick test_mc_endpoints;
+          Alcotest.test_case "mc trial counts" `Quick test_mc_trial_counts;
+          Alcotest.test_case "mc rejects bad arguments" `Quick test_mc_rejects_bad_arguments;
+          Alcotest.test_case "mc xor chains closed form" `Slow test_mc_xor_chains_closed_form;
         ] );
+      qsuite "bitslice-prop" [ prop_eval_words_matches_scalar ];
       ( "aging",
         [
           Alcotest.test_case "hazard increasing" `Quick test_weibull_hazard_increasing;
