@@ -1,6 +1,6 @@
 (* Self-timing harness for the simulator hot path.
 
-   Five canonical workloads, each a deterministic simulation whose wall
+   Canonical workloads, each a deterministic simulation whose wall
    clock and allocation rate are measured end to end:
 
    - [churn]    pure-engine event churn: 64 self-rescheduling actors, no
@@ -36,7 +36,11 @@
                 pbftbatch:pbftbatchuni ratio is the batching speedup;
    - [hwmc]     the hardware layer: E1's gate-level Monte Carlo on the
                 8-input/400-gate random module as TMR with a fallible
-                voter. Its event count is Monte-Carlo trials.
+                voter. Its event count is Monte-Carlo trials;
+   - [secded]   the hardware layer's register protection: SECDED(72,64)
+                encode, 0-2 bit flips, decode, over a deterministic word
+                stream — the codec every USIG/TrInc certificate, pipeline
+                gate check and SEU scrub runs. Its event count is words.
 
    Each workload runs [runs] times; we report the best wall time (least
    noisy) and the minimum allocated bytes per event (steady-state floor).
@@ -61,6 +65,7 @@ module Group = Resoc_core.Group
 module Generator = Resoc_workload.Generator
 module Circuit = Resoc_hw.Circuit
 module Redundancy = Resoc_hw.Redundancy
+module Ecc = Resoc_hw.Ecc
 
 type result = {
   id : string;
@@ -265,6 +270,26 @@ let hw_mc ~calls =
     done;
     calls * trials
 
+(* SECDED kernel: a cycle of clean, single-flip (corrected) and
+   double-flip (detected) words, so all three decode outcomes are timed.
+   Words and flip positions are a fixed function of the index. *)
+let secded ~words () =
+  let acc = ref 0L in
+  for i = 0 to words - 1 do
+    let data = Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L in
+    let w = Ecc.encode data in
+    let w =
+      match i land 3 with
+      | 1 -> Ecc.flip w (i mod Ecc.width)
+      | 2 -> Ecc.flip (Ecc.flip w (i mod 36)) (36 + (i mod 36))
+      | _ -> w
+    in
+    let d, _ = Ecc.decode w in
+    acc := Int64.logxor !acc d
+  done;
+  ignore (Sys.opaque_identity !acc);
+  words
+
 (* --- measurement --- *)
 
 let measure ~id ~runs f =
@@ -342,6 +367,7 @@ let run ~quick ~json_dir ~progress () =
         ("pbftbatch", pbft_batch ~batching:true ~requests:200 ~repeat:4);
         ("pbftbatchuni", pbft_batch ~batching:false ~requests:200 ~repeat:4);
         ("hwmc", hw_mc ~calls:8);
+        ("secded", secded ~words:400_000);
       ]
     else
       [
@@ -355,6 +381,7 @@ let run ~quick ~json_dir ~progress () =
         ("pbftbatch", pbft_batch ~batching:true ~requests:400 ~repeat:8);
         ("pbftbatchuni", pbft_batch ~batching:false ~requests:400 ~repeat:8);
         ("hwmc", hw_mc ~calls:40);
+        ("secded", secded ~words:4_000_000);
       ]
   in
   let results =

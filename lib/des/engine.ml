@@ -15,7 +15,8 @@
 
    Cancellation is lazy: the flag lives in the slot, a cancelled event is
    skipped (and its slot recycled) when popped, and when more than half
-   the queue is dead we purge it in one pass. Handles pack (generation,
+   the queue is dead we purge it with an in-place filter and a bottom-up
+   heapify: O(n), no allocation, no renumbering. Handles pack (generation,
    slot) so a stale handle — fired, cancelled, or recycled — is a no-op. *)
 
 module Obs = Resoc_obs.Obs
@@ -128,34 +129,34 @@ let free_slot t slot =
   Array.unsafe_set t.free_next slot t.free_head;
   t.free_head <- slot
 
-(* Compact the queue: drop cancelled entries if [drop_cancelled], then
-   reassign seqs 0..n-1 in (time, seq) order. Relative order of the
-   survivors is untouched, and subsequent events get larger seqs, so
+(* Reassign seqs 0..n-1 in (time, seq) order when an era runs out.
+   Relative order is untouched and subsequent events get larger seqs, so
    observable behavior is exactly that of an unbounded global seq. *)
-let compact t ~drop_cancelled =
-  let pairs = Ipq.to_sorted_pairs t.queue in
-  let n = Array.length pairs in
-  let kept = ref 0 in
-  for i = 0 to n - 1 do
-    let key, slot = Array.unsafe_get pairs i in
-    if drop_cancelled && Bytes.get t.cancelled slot <> '\000' then begin
-      t.n_cancelled <- t.n_cancelled - 1;
-      free_slot t slot
-    end
-    else begin
-      pairs.(!kept) <- (((key lsr seq_bits) lsl seq_bits) lor !kept, slot);
-      incr kept
-    end
-  done;
-  Ipq.reload t.queue (Array.sub pairs 0 !kept);
-  t.next_seq <- !kept
-
 let renumber t =
   if Ipq.size t.queue >= seq_limit then
     failwith "Engine: more than 2^20 events pending at one time";
-  compact t ~drop_cancelled:false
+  let pairs = Ipq.to_sorted_pairs t.queue in
+  Array.iteri
+    (fun i (key, slot) -> pairs.(i) <- (((key lsr seq_bits) lsl seq_bits) lor i, slot))
+    pairs;
+  Ipq.reload t.queue pairs;
+  t.next_seq <- Array.length pairs
 
-let purge t = compact t ~drop_cancelled:true
+(* Purge predicate: recycles a cancelled event's slot and drops it.
+   Closed over nothing, so passing it allocates no closure. *)
+let keep_live t slot =
+  if Bytes.unsafe_get t.cancelled slot = '\000' then true
+  else begin
+    Bytes.unsafe_set t.cancelled slot '\000';
+    free_slot t slot;
+    false
+  end
+
+(* Drop every cancelled event in one in-place pass. Keys (and hence the
+   survivors' firing order) are unchanged, so no renumbering is needed. *)
+let purge t =
+  Ipq.filter_in_place t.queue keep_live t;
+  t.n_cancelled <- 0
 
 let at t ~time action =
   if time < t.now then invalid_arg "Engine.at: time is in the past";
@@ -238,19 +239,17 @@ let stop t = t.stopped <- true
 
 let run ?until ?max_events t =
   t.stopped <- false;
-  let budget = match max_events with Some m -> ref m | None -> ref max_int in
+  let budget = ref (match max_events with Some m -> m | None -> max_int) in
   let horizon = match until with Some u -> u | None -> max_int in
-  let rec loop () =
-    if t.stopped || !budget <= 0 then ()
-    else if Ipq.is_empty t.queue then ()
-    else if Ipq.min_key t.queue lsr seq_bits > horizon then ()
-    else begin
-      decr budget;
-      ignore (step t);
-      loop ()
-    end
-  in
-  loop ();
-  (match until with
+  (* A loop, not a local recursive closure: a run allocates nothing. *)
+  while
+    (not t.stopped) && !budget > 0
+    && (not (Ipq.is_empty t.queue))
+    && Ipq.min_key t.queue lsr seq_bits <= horizon
+  do
+    decr budget;
+    ignore (step t)
+  done;
+  match until with
   | Some u when t.now < u && not t.stopped -> t.now <- u
-  | Some _ | None -> ())
+  | Some _ | None -> ()

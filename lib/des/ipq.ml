@@ -59,36 +59,55 @@ let min_val t =
   if t.len = 0 then invalid_arg "Ipq.min_val: empty queue";
   Array.unsafe_get t.vals 0
 
+(* Re-insert [key]/[v] at hole [i], dragging the hole toward the smaller
+   child until both children are larger. Stale ints beyond [len] pin
+   nothing. *)
+let sift_down (keys : int array) (vals : int array) len i (key : int) (v : int) =
+  let i = ref i in
+  let moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= len then moving := false
+    else begin
+      let r = l + 1 in
+      let c = if r < len && Array.unsafe_get keys r < Array.unsafe_get keys l then r else l in
+      if Array.unsafe_get keys c < key then begin
+        Array.unsafe_set keys !i (Array.unsafe_get keys c);
+        Array.unsafe_set vals !i (Array.unsafe_get vals c);
+        i := c
+      end
+      else moving := false
+    end
+  done;
+  Array.unsafe_set keys !i key;
+  Array.unsafe_set vals !i v
+
 let remove_min t =
   if t.len = 0 then invalid_arg "Ipq.remove_min: empty queue";
   let len = t.len - 1 in
   t.len <- len;
-  if len > 0 then begin
-    let keys = t.keys and vals = t.vals in
-    (* Re-insert the former last element from the root down, dragging the
-       hole toward the smaller child. Stale ints beyond [len] pin nothing. *)
-    let key = Array.unsafe_get keys len and v = Array.unsafe_get vals len in
-    let i = ref 0 in
-    let moving = ref true in
-    while !moving do
-      let l = (2 * !i) + 1 in
-      if l >= len then moving := false
-      else begin
-        let r = l + 1 in
-        let c =
-          if r < len && Array.unsafe_get keys r < Array.unsafe_get keys l then r else l
-        in
-        if Array.unsafe_get keys c < key then begin
-          Array.unsafe_set keys !i (Array.unsafe_get keys c);
-          Array.unsafe_set vals !i (Array.unsafe_get vals c);
-          i := c
-        end
-        else moving := false
-      end
-    done;
-    Array.unsafe_set keys !i key;
-    Array.unsafe_set vals !i v
-  end
+  if len > 0 then
+    sift_down t.keys t.vals len 0 (Array.unsafe_get t.keys len) (Array.unsafe_get t.vals len)
+
+(* Compact the survivors to the front in array order, then heapify
+   bottom-up (Floyd): O(n), no allocation. Keys are untouched, so with
+   distinct keys the pop order of the survivors is exactly what it was. *)
+let filter_in_place t keep ctx =
+  let keys = t.keys and vals = t.vals in
+  let kept = ref 0 in
+  for i = 0 to t.len - 1 do
+    let v = Array.unsafe_get vals i in
+    if keep ctx v then begin
+      Array.unsafe_set keys !kept (Array.unsafe_get keys i);
+      Array.unsafe_set vals !kept v;
+      incr kept
+    end
+  done;
+  let len = !kept in
+  t.len <- len;
+  for i = (len / 2) - 1 downto 0 do
+    sift_down keys vals len i (Array.unsafe_get keys i) (Array.unsafe_get vals i)
+  done
 
 let clear t =
   t.keys <- [||];

@@ -31,10 +31,17 @@ val remove_min : t -> unit
 
 val clear : t -> unit
 
+val filter_in_place : t -> ('a -> int -> bool) -> 'a -> unit
+(** [filter_in_place t keep ctx] drops every entry whose payload [v] has
+    [keep ctx v = false], calling [keep] exactly once per entry (in
+    unspecified order), then restores the heap bottom-up. O(n) and
+    allocation-free when [keep] is a closed function; keys are not
+    changed, so the survivors pop in the same order as before. *)
+
 val to_sorted_pairs : t -> (int * int) array
 (** Snapshot of the contents as (key, payload) pairs sorted by key
-    ascending. Used for the engine's era renumbering and cancelled-event
-    purge; O(n log n), allocates. *)
+    ascending. Used for the engine's seq-era renumbering; O(n log n),
+    allocates. *)
 
 val reload : t -> (int * int) array -> unit
 (** Replace the contents with [pairs], which MUST be sorted by key

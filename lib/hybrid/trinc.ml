@@ -34,9 +34,11 @@ let id t = t.id
 
 let counter_register t = t.reg
 
+let attestation_tag = Hash.of_string "trinc"
+
 let attestation_digest ~signer ~previous ~current digest =
   Hash.combine
-    (Hash.combine_int (Hash.of_string "trinc") signer)
+    (Hash.combine_int attestation_tag signer)
     (Hash.combine (Hash.combine previous current) digest)
 
 let attest t ~new_counter ~digest =

@@ -39,8 +39,10 @@ let counter_register t = t.reg
 
 let counter_value t = fst (Register.read t.reg)
 
+let ui_tag = Hash.of_string "usig-ui"
+
 let ui_digest ~signer ~counter digest =
-  Hash.combine (Hash.combine_int (Hash.combine_int (Hash.of_string "usig-ui") signer) 0)
+  Hash.combine (Hash.combine_int (Hash.combine_int ui_tag signer) 0)
     (Hash.combine counter digest)
 
 let failed t = t.failed

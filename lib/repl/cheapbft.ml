@@ -95,7 +95,7 @@ type replica = {
   mutable last_exec_counter : int64;
   log : entry Slot_ring.t;
   ordered : int Digest_map.t;
-  pending : (Hash.t, Types.request) Hashtbl.t;
+  pending : Types.request Digest_map.t;
   mutable rid_last : int array;  (* client -> last rid, min_int = none *)
   mutable rid_result : int64 array;
   timers : Engine.handle Digest_map.t;
@@ -208,7 +208,7 @@ let start_vc_timer r digest =
     Digest_map.set r.timers digest
       (Engine.schedule r.engine ~delay:r.config.vc_timeout (fun () ->
            Digest_map.remove r.timers digest;
-           if Hashtbl.mem r.pending digest then begin
+           if Digest_map.mem r.pending digest then begin
              (* Escalate past views whose primary never answered: repeated
                 timeouts propose ever-higher views until a live primary is
                 reached. *)
@@ -272,7 +272,7 @@ let exec_one r (request : Types.request) =
     end
   in
   let digest = Types.request_digest request in
-  Hashtbl.remove r.pending digest;
+  Digest_map.remove r.pending digest;
   cancel_request_timer r digest;
   reply_to_client r request result
 
@@ -616,7 +616,7 @@ let adopt_new_view r ~view ~base ~state ~rid_table =
   Digest_map.iter (fun _ h -> Engine.cancel r.engine h) r.timers;
   Digest_map.reset r.timers;
   Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true;
-  Hashtbl.iter (fun digest _ -> start_vc_timer r digest) r.pending
+  Digest_map.iter (fun digest _ -> start_vc_timer r digest) r.pending
 
 let become_primary r ~view =
   let rid_table = rid_table_list r in
@@ -624,7 +624,7 @@ let become_primary r ~view =
   let base = fst (Resoc_hw.Register.read (Trinc.counter_register r.trinc)) in
   adopt_new_view r ~view ~base ~state ~rid_table;
   broadcast r ~to_:r.all_others (New_view { view; base; state; rid_table });
-  let pending = Hashtbl.fold (fun _ req acc -> req :: acc) r.pending [] in
+  let pending = Digest_map.fold (fun _ req acc -> req :: acc) r.pending [] in
   let pending =
     List.sort
       (fun (a : Types.request) b ->
@@ -674,8 +674,8 @@ let on_request r (request : Types.request) =
     reply_to_client r request r.rid_result.(c)
   end
   else begin
-    let was_pending = Hashtbl.mem r.pending digest in
-    Hashtbl.replace r.pending digest request;
+    let was_pending = Digest_map.mem r.pending digest in
+    Digest_map.set r.pending digest request;
     (* Every replica — the primary included — watches the request: in the
        all-active configuration a single silent active denies the quorum,
        and someone must call for the transition. *)
@@ -697,11 +697,11 @@ let on_prepare r ~src ~view ~request ~(cert : Trinc.attestation) =
     let digest = Types.request_digest request in
     if verify_cert r ~digest cert && continuity_ok r ~signer:src ~counter:cert.Trinc.current
     then begin
-      Hashtbl.replace r.pending digest request;
+      Digest_map.set r.pending digest request;
       ignore (note_entry r ~counter:cert.Trinc.current ~request ~voter:src);
       send_own_commit r ~view ~request ~primary_cert:cert
     end
-    else if Hashtbl.mem r.pending digest then start_vc_timer r digest
+    else if Digest_map.mem r.pending digest then start_vc_timer r digest
   end
 
 let on_prepare_b r ~src ~view ~requests ~(cert : Trinc.attestation) =
@@ -712,7 +712,7 @@ let on_prepare_b r ~src ~view ~requests ~(cert : Trinc.attestation) =
     if verify_cert r ~digest cert && continuity_ok r ~signer:src ~counter:cert.Trinc.current
     then begin
       List.iter
-        (fun (req : Types.request) -> Hashtbl.replace r.pending (Types.request_digest req) req)
+        (fun (req : Types.request) -> Digest_map.set r.pending (Types.request_digest req) req)
         requests;
       ignore (note_entry_b r ~counter:cert.Trinc.current ~requests ~voter:src);
       send_own_commit_b r ~view ~requests ~primary_cert:cert
@@ -721,7 +721,7 @@ let on_prepare_b r ~src ~view ~requests ~(cert : Trinc.attestation) =
       List.iter
         (fun (req : Types.request) ->
           let d = Types.request_digest req in
-          if Hashtbl.mem r.pending d then start_vc_timer r d)
+          if Digest_map.mem r.pending d then start_vc_timer r d)
         requests
   end
 
@@ -777,11 +777,11 @@ let on_update r ~view ~upto ~state ~rid_table =
       c < Array.length r.rid_last && r.rid_last.(c) <> min_int && req.Types.rid <= r.rid_last.(c)
     in
     let stale =
-      Hashtbl.fold (fun digest req acc -> if served req then digest :: acc else acc) r.pending []
+      Digest_map.fold (fun digest req acc -> if served req then digest :: acc else acc) r.pending []
     in
     List.iter
       (fun digest ->
-        Hashtbl.remove r.pending digest;
+        Digest_map.remove r.pending digest;
         cancel_request_timer r digest)
       stale
   end
@@ -831,7 +831,7 @@ let make_replica engine fabric config keychain stats ~id ~behavior ~chk =
     last_exec_counter = 0L;
     log = Slot_ring.create ~capacity:(2 * log_retention) ~fresh:fresh_entry;
     ordered = Digest_map.create ~capacity:64 ();
-    pending = Hashtbl.create 16;
+    pending = Digest_map.create ();
     rid_last = Array.make (n + config.n_clients) min_int;
     rid_result = Array.make (n + config.n_clients) 0L;
     timers = Digest_map.create ~capacity:16 ();
@@ -969,7 +969,7 @@ let legacy_rejoin t (r : replica) =
     done;
     Slot_ring.reset r.log;
     Digest_map.reset r.ordered;
-    Hashtbl.reset r.pending;
+    Digest_map.reset r.pending;
     Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true
   | None -> ()
 
@@ -992,7 +992,7 @@ let set_online t ~replica =
       rid_reset r;
       Slot_ring.reset r.log;
       Digest_map.reset r.ordered;
-      Hashtbl.reset r.pending;
+      Digest_map.reset r.pending;
       Hashtbl.reset r.repeat_counts;
       Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true;
       Checkpoint.reset cp;

@@ -3,9 +3,12 @@ module Histogram = Resoc_des.Metrics.Histogram
 
 (* One request is in flight at a time, so its state lives directly on
    the client and is reset in place per request: no inflight record, no
-   fresh votes table, no queue-list reversal. The retransmission timer
-   guards on the request id instead of physical equality — rids are
-   unique per client, so the checks are equivalent. *)
+   fresh votes table, no queue-list reversal. Votes are a voter bitset
+   plus each replica's latest result in an array indexed by replica, so
+   tallying a reply is a loop over at most 63 slots and allocates
+   nothing. The retransmission timer guards on the request id instead of
+   physical equality — rids are unique per client, so the checks are
+   equivalent. *)
 type 'msg t = {
   engine : Engine.t;
   fabric : 'msg Transport.fabric;
@@ -22,7 +25,8 @@ type 'msg t = {
   mutable inflight : bool;
   mutable request : Types.request;
   mutable submitted_at : int;
-  votes : (int, int64) Hashtbl.t;
+  mutable voters : Quorum.t;  (* replicas that answered [request] *)
+  votes : int64 array;  (* replica -> its latest result, valid for voters *)
   mutable timer : Engine.handle option;
   (* FIFO payload queue: a circular buffer of unboxed int64s *)
   mutable queue : int64 array;
@@ -62,7 +66,7 @@ let start_request t payload =
   t.inflight <- true;
   t.request <- request;
   t.submitted_at <- Engine.now t.engine;
-  Hashtbl.reset t.votes;
+  t.voters <- Quorum.empty;
   t.timer <- None;
   t.stats.Stats.submitted <- t.stats.Stats.submitted + 1;
   broadcast_request t request;
@@ -89,35 +93,40 @@ let queue_pop t =
   t.queue_len <- t.queue_len - 1;
   payload
 
+(* Voters whose latest result is [result]. *)
+let matching t result =
+  let n = ref 0 in
+  for i = 0 to t.n_replicas - 1 do
+    if Quorum.mem t.voters i && Int64.equal (Array.unsafe_get t.votes i) result then incr n
+  done;
+  !n
+
 let complete t (reply : Types.reply) =
   cancel_timer t;
   t.inflight <- false;
   t.stats.Stats.completed <- t.stats.Stats.completed + 1;
   Histogram.add t.stats.Stats.latency (float_of_int (Engine.now t.engine - t.submitted_at));
-  let dissent =
-    Hashtbl.fold
-      (fun _ result acc -> if Int64.equal result reply.Types.result then acc else acc + 1)
-      t.votes 0
-  in
+  let dissent = Quorum.count t.voters - matching t reply.Types.result in
   t.stats.Stats.wrong_replies <- t.stats.Stats.wrong_replies + dissent;
   (match t.on_complete with Some k -> k reply | None -> ());
   if t.queue_len > 0 then start_request t (queue_pop t)
 
+(* Replies naming an endpoint outside the replica group carry no vote. *)
 let on_reply t (reply : Types.reply) =
-  if t.inflight && reply.Types.rid = t.request.Types.rid then begin
-    Hashtbl.replace t.votes reply.Types.replica reply.Types.result;
-    let matching =
-      Hashtbl.fold
-        (fun _ result acc -> if Int64.equal result reply.Types.result then acc + 1 else acc)
-        t.votes 0
-    in
-    if matching >= t.quorum then complete t reply
+  let replica = reply.Types.replica in
+  if t.inflight && reply.Types.rid = t.request.Types.rid && replica >= 0
+     && replica < t.n_replicas
+  then begin
+    t.voters <- Quorum.add t.voters replica;
+    Array.unsafe_set t.votes replica reply.Types.result;
+    if matching t reply.Types.result >= t.quorum then complete t reply
   end
 
 let create engine fabric ~id ~n_replicas ~quorum ~retry_timeout ~stats ~to_msg ~of_msg
     ?on_complete () =
   if quorum <= 0 then invalid_arg "Client.create: quorum must be positive";
   if retry_timeout <= 0 then invalid_arg "Client.create: timeout must be positive";
+  Quorum.check_n n_replicas "Client.create";
   let t =
     {
       engine;
@@ -134,7 +143,8 @@ let create engine fabric ~id ~n_replicas ~quorum ~retry_timeout ~stats ~to_msg ~
       inflight = false;
       request = no_request;
       submitted_at = 0;
-      votes = Hashtbl.create 8;
+      voters = Quorum.empty;
+      votes = Array.make n_replicas 0L;
       timer = None;
       queue = [||];
       queue_head = 0;

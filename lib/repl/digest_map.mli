@@ -1,8 +1,9 @@
 (** Open-addressed map from 64-bit digests ({!Resoc_crypto.Hash.t}) to
     arbitrary values — the replication layer's replacement for
     [(Hash.t, _) Hashtbl.t] on the hot path. Linear probing over a
-    power-of-two table, tombstone deletion, no per-operation allocation
-    in steady state.
+    power-of-two table with backward-shift deletion: there are no
+    tombstones, so insert/remove churn never triggers a rebuild, and no
+    operation except growth and {!get} allocates.
 
     Iteration order is the (deterministic) table order, not insertion
     order; callers that need a canonical order must sort, as they
@@ -35,7 +36,9 @@ val value_at : 'a t -> int -> 'a
 (** The value in a slot returned by {!index} (which must be [>= 0]). *)
 
 val remove_at : 'a t -> int -> unit
-(** Delete the entry in a slot returned by {!index}. *)
+(** Delete the entry in a slot returned by {!index}. Later entries of
+    the probe cluster may shift into the freed slot, so every other
+    index obtained before the call is stale. *)
 
 val iter : (int64 -> 'a -> unit) -> 'a t -> unit
 

@@ -159,7 +159,7 @@ module Make (H : HYBRID) = struct
     mutable last_exec_counter : int64;  (* primary counters up to here executed *)
     log : entry Slot_ring.t;  (* primary counter -> entry (current view) *)
     ordered : int Digest_map.t;  (* digests this primary already assigned *)
-    pending : (Hash.t, Types.request) Hashtbl.t;
+    pending : Types.request Digest_map.t;
     mutable rid_last : int array;  (* client -> last rid, min_int = none *)
     mutable rid_result : int64 array;
     timers : Engine.handle Digest_map.t;
@@ -263,7 +263,7 @@ module Make (H : HYBRID) = struct
       Digest_map.set r.timers digest
         (Engine.schedule r.engine ~delay:r.config.vc_timeout (fun () ->
              Digest_map.remove r.timers digest;
-             if r.online && Hashtbl.mem r.pending digest then begin
+             if r.online && Digest_map.mem r.pending digest then begin
                (* Escalate past views whose primary never answered. *)
                let new_view = max r.view r.vc_voted + 1 in
                r.vc_voted <- new_view;
@@ -318,7 +318,7 @@ module Make (H : HYBRID) = struct
       end
     in
     let digest = Types.request_digest request in
-    Hashtbl.remove r.pending digest;
+    Digest_map.remove r.pending digest;
     cancel_request_timer r digest;
     if !Obs.trace_on then
       Ring.async_end r.obs.Obs.ring ~time:(Engine.now r.engine) ~cat:Obs.Cat.repl
@@ -630,9 +630,18 @@ module Make (H : HYBRID) = struct
         try_execute r
     end
 
+  (* The legacy window buffers every arrival at the primary, so a
+     client's own copy and a backup's forwarded copy of one request can
+     both be in the buffer; only the first enters the batch. *)
   let flush_batch (r : replica) =
     r.flush_scheduled <- false;
-    let batch = List.rev r.batch_buffer in
+    let rec dedup seen = function
+      | [] -> []
+      | (req : Types.request) :: tl ->
+        let d = Types.request_digest req in
+        if List.exists (Hash.equal d) seen then dedup seen tl else req :: dedup (d :: seen) tl
+    in
+    let batch = dedup [] (List.rev r.batch_buffer) in
     r.batch_buffer <- [];
     order_batch r batch
 
@@ -677,7 +686,7 @@ module Make (H : HYBRID) = struct
       cancel_recover_timer r;
       Checkpoint.rebase cp ~seq:(Int64.to_int base)
     | None -> ());
-    Hashtbl.iter (fun digest _ -> start_vc_timer r digest) r.pending
+    Digest_map.iter (fun digest _ -> start_vc_timer r digest) r.pending
 
   let become_primary r ~view =
     let rid_table = rid_table_list r in
@@ -685,7 +694,7 @@ module Make (H : HYBRID) = struct
     let base = H.current_counter r.hybrid_instance in
     adopt_new_view r ~view ~base ~state ~rid_table;
     broadcast r ~to_:r.peer_ids (New_view { view; base; state; rid_table });
-    let pending = Hashtbl.fold (fun _ req acc -> req :: acc) r.pending [] in
+    let pending = Digest_map.fold (fun _ req acc -> req :: acc) r.pending [] in
     let pending =
       List.sort
         (fun (a : Types.request) b ->
@@ -739,12 +748,12 @@ module Make (H : HYBRID) = struct
     if r.rid_last.(c) <> min_int && request.Types.rid <= r.rid_last.(c) then
       reply_to_client r request r.rid_result.(c)
     else begin
-      if !Obs.trace_on && not (Hashtbl.mem r.pending digest) then
+      if !Obs.trace_on && not (Digest_map.mem r.pending digest) then
         Ring.async_begin r.obs.Obs.ring ~time:(Engine.now r.engine) ~cat:Obs.Cat.repl
           ~id:(Obs.repl_request_span ~replica:r.id ~client ~rid:request.Types.rid)
           ~arg:0;
-      let was_pending = Hashtbl.mem r.pending digest in
-      Hashtbl.replace r.pending digest request;
+      let was_pending = Digest_map.mem r.pending digest in
+      Digest_map.set r.pending digest request;
       if is_primary r then (
         match r.batcher with
         | Some b ->
@@ -766,7 +775,7 @@ module Make (H : HYBRID) = struct
          && continuity_ok r ~signer:src ~counter:(H.cert_counter cert)
       then begin
         List.iter
-          (fun req -> Hashtbl.replace r.pending (Types.request_digest req) req)
+          (fun req -> Digest_map.set r.pending (Types.request_digest req) req)
           requests;
         ignore (note_entry r ~counter:(H.cert_counter cert) ~requests ~voter:src);
         send_own_commit r ~view ~requests ~primary_cert:cert
@@ -777,7 +786,7 @@ module Make (H : HYBRID) = struct
         List.iter
           (fun req ->
             let digest = Types.request_digest req in
-            if Hashtbl.mem r.pending digest then start_vc_timer r digest)
+            if Digest_map.mem r.pending digest then start_vc_timer r digest)
           requests
     end
 
@@ -851,7 +860,7 @@ module Make (H : HYBRID) = struct
       last_exec_counter = 0L;
       log = Slot_ring.create ~capacity:(2 * Int64.to_int log_retention) ~fresh:fresh_entry;
       ordered = Digest_map.create ~capacity:64 ();
-      pending = Hashtbl.create 16;
+      pending = Digest_map.create ();
       rid_last = Array.make (n + config.n_clients) min_int;
       rid_result = Array.make (n + config.n_clients) 0L;
       timers = Digest_map.create ~capacity:16 ();
@@ -986,7 +995,7 @@ module Make (H : HYBRID) = struct
       done;
       Slot_ring.reset r.log;
       Digest_map.reset r.ordered;
-      Hashtbl.reset r.pending;
+      Digest_map.reset r.pending;
       Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true
     | None -> ()
 
@@ -1005,7 +1014,7 @@ module Make (H : HYBRID) = struct
         rid_reset r;
         Slot_ring.reset r.log;
         Digest_map.reset r.ordered;
-        Hashtbl.reset r.pending;
+        Digest_map.reset r.pending;
         r.batch_buffer <- [];
         r.flush_scheduled <- false;
         (match r.batcher with Some b -> Batcher.clear b | None -> ());

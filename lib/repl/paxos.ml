@@ -71,7 +71,7 @@ type replica = {
   mutable last_exec : int;
   log : entry Slot_ring.t;
   ordered : int Digest_map.t;
-  pending : (Hash.t, Types.request) Hashtbl.t;
+  pending : Types.request Digest_map.t;
   mutable rid_last : int array;  (* client -> last rid, min_int = none *)
   mutable rid_result : int64 array;
   timers : Engine.handle Digest_map.t;
@@ -164,7 +164,7 @@ let start_election_timer r digest =
     Digest_map.set r.timers digest
       (Engine.schedule r.engine ~delay:r.config.election_timeout (fun () ->
            Digest_map.remove r.timers digest;
-           if r.online && Hashtbl.mem r.pending digest then begin
+           if r.online && Digest_map.mem r.pending digest then begin
              (* Escalate past terms whose leader never answered. *)
              let new_term = max r.term r.voted + 1 in
              r.voted <- new_term;
@@ -221,7 +221,7 @@ let exec_one r (request : Types.request) =
     end
   in
   let digest = Types.request_digest request in
-  Hashtbl.remove r.pending digest;
+  Digest_map.remove r.pending digest;
   cancel_request_timer r digest;
   reply_to_client r request result
 
@@ -481,7 +481,7 @@ let adopt_new_term r ~term ~start_seq ~state ~rid_table =
     rid_table;
   Digest_map.iter (fun _ h -> Engine.cancel r.engine h) r.timers;
   Digest_map.reset r.timers;
-  Hashtbl.iter (fun digest _ -> start_election_timer r digest) r.pending
+  Digest_map.iter (fun digest _ -> start_election_timer r digest) r.pending
 
 let rid_table_list r =
   let acc = ref [] in
@@ -495,7 +495,7 @@ let become_leader r ~term ~start_seq =
   let state = App.state r.app in
   adopt_new_term r ~term ~start_seq ~state ~rid_table;
   broadcast r ~to_:r.peer_ids (New_term { term; start_seq; state; rid_table });
-  let pending = Hashtbl.fold (fun _ req acc -> req :: acc) r.pending [] in
+  let pending = Digest_map.fold (fun _ req acc -> req :: acc) r.pending [] in
   let pending =
     List.sort
       (fun (a : Types.request) b ->
@@ -529,8 +529,8 @@ let on_request r (request : Types.request) =
   if r.rid_last.(c) <> min_int && request.Types.rid <= r.rid_last.(c) then
     reply_to_client r request r.rid_result.(c)
   else begin
-    let was_pending = Hashtbl.mem r.pending digest in
-    Hashtbl.replace r.pending digest request;
+    let was_pending = Digest_map.mem r.pending digest in
+    Digest_map.set r.pending digest request;
     if is_leader r then (
       match r.batcher with
       | Some b ->
@@ -546,7 +546,7 @@ let on_request r (request : Types.request) =
 
 let on_accept r ~src ~term ~seq ~request =
   if term = r.term && src = leader_of ~term ~n:r.n && not (is_leader r) then begin
-    Hashtbl.replace r.pending (Types.request_digest request) request;
+    Digest_map.set r.pending (Types.request_digest request) request;
     let e, fresh = Slot_ring.bind r.log seq in
     if fresh then begin
       e.request <- request;
@@ -560,7 +560,7 @@ let on_accept r ~src ~term ~seq ~request =
 let on_accept_b r ~src ~term ~seq ~requests =
   if term = r.term && src = leader_of ~term ~n:r.n && (not (is_leader r)) && requests <> [] then begin
     List.iter
-      (fun (req : Types.request) -> Hashtbl.replace r.pending (Types.request_digest req) req)
+      (fun (req : Types.request) -> Digest_map.set r.pending (Types.request_digest req) req)
       requests;
     let e, fresh = Slot_ring.bind r.log seq in
     if fresh then begin
@@ -642,7 +642,7 @@ let make_replica engine fabric config stats ~id ~behavior ~chk =
     last_exec = 0;
     log = Slot_ring.create ~capacity:(2 * log_retention) ~fresh:fresh_entry;
     ordered = Digest_map.create ~capacity:64 ();
-    pending = Hashtbl.create 16;
+    pending = Digest_map.create ();
     rid_last = Array.make (n + config.n_clients) min_int;
     rid_result = Array.make (n + config.n_clients) 0L;
     timers = Digest_map.create ~capacity:16 ();
@@ -761,7 +761,7 @@ let legacy_rejoin t (r : replica) =
       done;
       Slot_ring.reset r.log;
       Digest_map.reset r.ordered;
-      Hashtbl.reset r.pending
+      Digest_map.reset r.pending
     | None -> ()
   end
 
@@ -781,7 +781,7 @@ let set_online t ~replica =
       rid_reset r;
       Slot_ring.reset r.log;
       Digest_map.reset r.ordered;
-      Hashtbl.reset r.pending;
+      Digest_map.reset r.pending;
       Checkpoint.reset cp;
       start_recovery r cp
     | None -> legacy_rejoin t r

@@ -95,7 +95,7 @@ type replica = {
   mutable last_exec : int;
   log : entry Slot_ring.t;  (* seq -> entry (current view only) *)
   ordered : int Digest_map.t;  (* digest -> seq, current view *)
-  pending : (Hash.t, Types.request) Hashtbl.t;  (* seen, not yet executed *)
+  pending : Types.request Digest_map.t;  (* seen, not yet executed *)
   mutable rid_last : int array;  (* client -> last rid, min_int = none *)
   mutable rid_result : int64 array;  (* client -> cached result *)
   timers : Engine.handle Digest_map.t;
@@ -265,7 +265,7 @@ let exec_one r (request : Types.request) =
     end
   in
   let digest = Types.request_digest request in
-  Hashtbl.remove r.pending digest;
+  Digest_map.remove r.pending digest;
   cancel_request_timer r digest;
   if !Obs.trace_on then
     Ring.async_end r.obs.Obs.ring ~time:(Engine.now r.engine) ~cat:Obs.Cat.repl
@@ -514,7 +514,7 @@ let start_vc_timer r digest =
     Digest_map.set r.timers digest
       (Engine.schedule r.engine ~delay:r.config.vc_timeout (fun () ->
            Digest_map.remove r.timers digest;
-           if r.online && Hashtbl.mem r.pending digest then begin
+           if r.online && Digest_map.mem r.pending digest then begin
              (* Escalate past views whose primary never answered. *)
              let new_view = max r.view r.vc_voted + 1 in
              r.vc_voted <- new_view;
@@ -619,7 +619,7 @@ let adopt_new_view r ~view ~start_seq ~state ~rid_table =
     cancel_recover_timer r;
     Checkpoint.rebase cp ~seq:(start_seq - 1)
   | None -> ());
-  Hashtbl.iter (fun digest _ -> start_vc_timer r digest) r.pending
+  Digest_map.iter (fun digest _ -> start_vc_timer r digest) r.pending
 
 let rid_table_list r =
   let acc = ref [] in
@@ -634,7 +634,7 @@ let become_primary r ~view ~start_seq =
   adopt_new_view r ~view ~start_seq ~state ~rid_table;
   broadcast r ~to_:r.peer_ids (New_view { view; start_seq; state; rid_table });
   (* Re-propose everything still pending, deterministically ordered. *)
-  let pending = Hashtbl.fold (fun _ req acc -> req :: acc) r.pending [] in
+  let pending = Digest_map.fold (fun _ req acc -> req :: acc) r.pending [] in
   let pending =
     List.sort
       (fun (a : Types.request) b -> compare (a.Types.client, a.Types.rid) (b.Types.client, b.Types.rid))
@@ -675,12 +675,12 @@ let on_request r (request : Types.request) =
     (* Already executed: re-send the cached reply. *)
     reply_to_client r request r.rid_result.(c)
   else begin
-    if !Obs.trace_on && not (Hashtbl.mem r.pending digest) then
+    if !Obs.trace_on && not (Digest_map.mem r.pending digest) then
       Ring.async_begin r.obs.Obs.ring ~time:(Engine.now r.engine) ~cat:Obs.Cat.repl
         ~id:(Obs.repl_request_span ~replica:r.id ~client ~rid:request.Types.rid)
         ~arg:0;
-    let was_pending = Hashtbl.mem r.pending digest in
-    Hashtbl.replace r.pending digest request;
+    let was_pending = Digest_map.mem r.pending digest in
+    Digest_map.set r.pending digest request;
     if is_primary r then (
       match r.batcher with
       | Some b ->
@@ -699,7 +699,7 @@ let on_request r (request : Types.request) =
 let on_pre_prepare r ~src ~view ~seq ~digest ~request =
   if view = r.view && src = primary_of ~view ~n:r.n && not (is_primary r) then begin
     if Hash.equal digest (Types.request_digest request) then begin
-      Hashtbl.replace r.pending (Types.request_digest request) request;
+      Digest_map.set r.pending (Types.request_digest request) request;
       let e = entry_for r ~view ~seq ~digest in
       if e != null_entry && Hash.equal e.digest digest then begin
         e.request <- request;
@@ -715,7 +715,7 @@ let on_pre_prepare r ~src ~view ~seq ~digest ~request =
     else begin
       (* Digest mismatch: an equivocating or corrupt primary. Keep the
          request pending and let the timer push a view change. *)
-      Hashtbl.replace r.pending (Types.request_digest request) request;
+      Digest_map.set r.pending (Types.request_digest request) request;
       start_vc_timer r (Types.request_digest request)
     end
   end
@@ -725,7 +725,7 @@ let on_pre_prepare_b r ~src ~view ~seq ~digest ~requests =
   then begin
     if Hash.equal digest (Types.batch_digest requests) then begin
       List.iter
-        (fun (req : Types.request) -> Hashtbl.replace r.pending (Types.request_digest req) req)
+        (fun (req : Types.request) -> Digest_map.set r.pending (Types.request_digest req) req)
         requests;
       let e = entry_for r ~view ~seq ~digest in
       if e != null_entry && Hash.equal e.digest digest then begin
@@ -743,7 +743,7 @@ let on_pre_prepare_b r ~src ~view ~seq ~digest ~requests =
          every carried request; the timers push a view change. *)
       List.iter
         (fun (req : Types.request) ->
-          Hashtbl.replace r.pending (Types.request_digest req) req;
+          Digest_map.set r.pending (Types.request_digest req) req;
           start_vc_timer r (Types.request_digest req))
         requests
   end
@@ -811,7 +811,7 @@ let make_replica engine fabric config stats ~id ~behavior ~chk =
     last_exec = 0;
     log = Slot_ring.create ~capacity:(2 * log_retention) ~fresh:fresh_entry;
     ordered = Digest_map.create ~capacity:64 ();
-    pending = Hashtbl.create 16;
+    pending = Digest_map.create ();
     rid_last = Array.make (n + config.n_clients) min_int;
     rid_result = Array.make (n + config.n_clients) 0L;
     timers = Digest_map.create ~capacity:16 ();
@@ -920,7 +920,7 @@ let set_online t ~replica =
       rid_reset r;
       Slot_ring.reset r.log;
       Digest_map.reset r.ordered;
-      Hashtbl.reset r.pending;
+      Digest_map.reset r.pending;
       Checkpoint.reset cp;
       start_recovery r cp
     | None -> (
@@ -951,6 +951,6 @@ let set_online t ~replica =
         done;
         Slot_ring.reset r.log;
         Digest_map.reset r.ordered;
-        Hashtbl.reset r.pending
+        Digest_map.reset r.pending
       | None -> ())
   end

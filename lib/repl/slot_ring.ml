@@ -6,8 +6,13 @@
    the live window spans at most retention + in-flight slots. A ring
    sized to a power of two above that window replaces the
    [(seq, entry) Hashtbl.t]: lookup is a mask and an int compare, and
-   the entry records themselves are allocated once per slot and reset in
-   place when a new sequence number claims the slot.
+   the entry records themselves are allocated on the first claim of a
+   slot and reset in place whenever a new sequence number claims it.
+   Until then a slot holds a shared placeholder, and until the first
+   bind the ring is a single free slot: building a replica allocates
+   one record and no ring arrays. (Those two arrays were a replica
+   build's only major-heap allocations, and a major allocation can start
+   a collector slice right there, inside the build.)
 
    If a burst pushes the live window past the capacity (two live seqs
    mapping to one slot), the ring doubles and re-places the live
@@ -26,8 +31,10 @@
 
 type 'a t = {
   mutable seqs : int array;  (* seqs.(i) = the seq bound to slot i, or free *)
-  mutable entries : 'a array;  (* one pooled record per slot, never null *)
-  fresh : int -> 'a;  (* allocator for slots added by growth *)
+  mutable entries : 'a array;  (* pooled record per claimed slot, else [placeholder] *)
+  sized : int;  (* ring size taken at the first bind *)
+  fresh : int -> 'a;  (* allocator, called on a slot's first claim *)
+  placeholder : 'a;
   mutable ov_seqs : int array;  (* overflow keys, dense in [0, ov_live) *)
   mutable ov_entries : 'a array;
   mutable ov_live : int;
@@ -45,10 +52,13 @@ let create ~capacity ~fresh =
   while !cap < capacity do
     cap := !cap * 2
   done;
+  let placeholder = fresh 0 in
   {
-    seqs = Array.make !cap free;
-    entries = Array.init !cap fresh;
+    seqs = [| free |];
+    entries = [| placeholder |];
+    sized = !cap;
     fresh;
+    placeholder;
     ov_seqs = [||];
     ov_entries = [||];
     ov_live = 0;
@@ -86,7 +96,7 @@ let grow t =
   let cap = Array.length t.seqs in
   let ncap = 2 * cap in
   let nseqs = Array.make ncap free in
-  let nentries = Array.init ncap t.fresh in
+  let nentries = Array.make ncap t.placeholder in
   for i = 0 to cap - 1 do
     let seq = t.seqs.(i) in
     if seq <> free then begin
@@ -104,12 +114,14 @@ let ov_claim t seq =
     let ncap = max 4 (2 * n) in
     let nseqs = Array.make ncap free in
     Array.blit t.ov_seqs 0 nseqs 0 n;
-    let nentries = Array.init ncap (fun i -> if i < n then t.ov_entries.(i) else t.fresh i) in
+    let nentries = Array.make ncap t.placeholder in
+    Array.blit t.ov_entries 0 nentries 0 n;
     t.ov_seqs <- nseqs;
     t.ov_entries <- nentries
   end;
   t.ov_seqs.(n) <- seq;
   t.ov_live <- n + 1;
+  if t.ov_entries.(n) == t.placeholder then t.ov_entries.(n) <- t.fresh n;
   t.ov_entries.(n)
 
 (* Claim the slot for [seq]. Returns [(entry, fresh_claim)]: when
@@ -119,6 +131,11 @@ let ov_claim t seq =
    *different* live seq forces growth up to [max_direct], then the
    overflow array takes the newcomer. *)
 let rec bind t seq =
+  if Array.length t.seqs < t.sized then begin
+    (* First bind: nothing is bound in the one-slot stand-in. *)
+    t.seqs <- Array.make t.sized free;
+    t.entries <- Array.make t.sized t.placeholder
+  end;
   let cap = Array.length t.seqs in
   let i = seq land (cap - 1) in
   let bound = Array.unsafe_get t.seqs i in
@@ -129,7 +146,13 @@ let rec bind t seq =
     | _ ->
       if bound = free then begin
         Array.unsafe_set t.seqs i seq;
-        (Array.unsafe_get t.entries i, true)
+        let e = Array.unsafe_get t.entries i in
+        if e != t.placeholder then (e, true)
+        else begin
+          let e = t.fresh i in
+          Array.unsafe_set t.entries i e;
+          (e, true)
+        end
       end
       else if cap < max_direct then begin
         grow t;

@@ -14,7 +14,10 @@ type 'a t
 
 val create : capacity:int -> fresh:(int -> 'a) -> 'a t
 (** [create ~capacity ~fresh] rounds [capacity] up to a power of two
-    (minimum 8) and fills every slot with [fresh i]. *)
+    (minimum 8): the ring's size from its first {!bind} on. Storage is
+    allocated lazily: the ring arrays at the first bind, and each record
+    by [fresh i] on the first claim of slot [i] (plus once at creation
+    for a shared placeholder that never reaches a caller). *)
 
 val capacity : 'a t -> int
 

@@ -284,6 +284,23 @@ let test_mutant_batch_duplicate () =
             Alcotest.(check bool) "names batch atomicity" true
               (contains ~sub:"batch atomicity" msg)))
 
+let test_minbft_legacy_batch_window_clean () =
+  (* The legacy MinBFT batch window (A8's setting) buffers both the
+     client's copy of a request and a backup's forwarded copy; each
+     request must still be committed in exactly one batch. *)
+  with_check (fun () ->
+      let engine = Engine.create ~seed:13L () in
+      let config =
+        { Minbft.default_config with f = 1; n_clients = 8; batch_window = 50; max_batch = 16 }
+      in
+      let fabric = Transport.hub engine ~n:(Minbft.n_replicas config + 8) () in
+      let sys = Minbft.start engine fabric config () in
+      Resoc_workload.Generator.burst ~n_per_client:50 ~n_clients:8
+        ~submit:(fun ~client ~payload -> Minbft.submit sys ~client ~payload);
+      Engine.run ~until:600_000 engine;
+      Alcotest.(check int) "all requests completed" 400 (Minbft.stats sys).Stats.completed;
+      Alcotest.(check bool) "checker observed traffic" true (Check.hooks_fired () > 0))
+
 (* --- transparency ------------------------------------------------------- *)
 
 let minbft_fingerprint ~seed ~count =
@@ -442,6 +459,8 @@ let () =
           Alcotest.test_case "quorum certificates" `Quick test_quorum_certificate;
           Alcotest.test_case "counter issuance" `Quick test_counter_issuance;
           Alcotest.test_case "a2m and noc" `Quick test_a2m_and_noc;
+          Alcotest.test_case "minbft legacy batch window clean" `Quick
+            test_minbft_legacy_batch_window_clean;
         ] );
       ( "mutants",
         [

@@ -362,6 +362,119 @@ let test_engine_seq_era_renumber () =
   Alcotest.(check (list int)) "cohort order across era roll" (List.init 100 Fun.id)
     (List.rev !log)
 
+(* One round of schedule/cancel/run churn: [k] events at random delays,
+   cancels of a fraction of them (each cancelled handle possibly twice),
+   cancels of handles from earlier rounds (mostly fired already), then a
+   run to a random horizon. *)
+type churn_round = {
+  delays : int list;
+  cancels : int list;  (* indices into this round's events *)
+  stale : int list;  (* indices into all earlier rounds' events *)
+  advance : int;
+}
+
+let churn_round_gen =
+  QCheck.Gen.(
+    int_range 120 200 >>= fun k ->
+    list_repeat k (int_range 1 1000) >>= fun delays ->
+    float_range 0.6 0.95 >>= fun frac ->
+    let n_cancel = int_of_float (frac *. float_of_int k) in
+    shuffle_l (List.init k Fun.id) >>= fun order ->
+    let chosen = List.filteri (fun i _ -> i < n_cancel) order in
+    list_size (int_bound 20) (oneofl chosen) >>= fun doubles ->
+    list_size (int_bound 30) (int_bound 1000) >>= fun stale ->
+    int_range 0 1500 >>= fun advance ->
+    return { delays; cancels = chosen @ doubles; stale; advance })
+
+let prop_engine_cancel_matches_reference =
+  (* The engine, purges and all, against a purge-free reference: every
+     scheduled event is (time, id) with id in schedule order, cancelled
+     ones never fire, and a run to [u] fires every live event with time
+     <= u in (time, id) order. The reference also tracks the documented
+     purge rule, so the queue size after every cancel is checked too —
+     and each case must purge at least once. *)
+  QCheck.Test.make ~name:"schedule/cancel interleavings fire the reference order" ~count:60
+    (QCheck.make QCheck.Gen.(list_size (int_range 2 5) churn_round_gen))
+    (fun rounds ->
+      let e = Engine.create () in
+      let log = ref [] in
+      let handles = ref [||] and times = ref [||] in
+      (* reference state per event id: 0 queued, 1 cancelled in queue,
+         2 gone (fired, popped dead or purged) *)
+      let state = ref [||] in
+      let expected = ref [] in
+      let purges = ref 0 in
+      let ok = ref true in
+      let count st = Array.fold_left (fun n x -> if x = st then n + 1 else n) 0 !state in
+      let run_to u =
+        let ready = ref [] in
+        Array.iteri
+          (fun id st -> if st < 2 && !times.(id) <= u then ready := (!times.(id), id, st) :: !ready)
+          !state;
+        List.iter
+          (fun (_, id, st) ->
+            if st = 0 then expected := id :: !expected;
+            !state.(id) <- 2)
+          (List.sort compare !ready);
+        Engine.run ~until:u e
+      in
+      let cancel id =
+        Engine.cancel e !handles.(id);
+        if !state.(id) = 0 then begin
+          !state.(id) <- 1;
+          let dead = count 1 and live = count 0 in
+          if dead > 64 && dead > live then begin
+            incr purges;
+            Array.iteri (fun i st -> if st = 1 then !state.(i) <- 2) !state
+          end
+        end;
+        ok := !ok && Engine.pending e = count 0 + count 1
+      in
+      List.iter
+        (fun r ->
+          let base = Array.length !handles in
+          let now = Engine.now e in
+          let hs =
+            List.mapi
+              (fun i d ->
+                let id = base + i in
+                Engine.schedule e ~delay:d (fun () -> log := id :: !log))
+              r.delays
+          in
+          handles := Array.append !handles (Array.of_list hs);
+          times := Array.append !times (Array.of_list (List.map (fun d -> now + d) r.delays));
+          state := Array.append !state (Array.make (List.length hs) 0);
+          List.iter (fun i -> cancel (base + i)) r.cancels;
+          if base > 0 then List.iter (fun i -> cancel (i mod base)) r.stale;
+          run_to (now + r.advance))
+        rounds;
+      run_to max_int;
+      !ok && !purges >= 1 && List.rev !log = List.rev !expected)
+
+let test_engine_cancel_loop_allocation_free () =
+  (* Steady state: schedule and cancel through several purges, a
+     pre-built action, no handler work. The pool and heap are warm after
+     the first batch; after that not one minor word may be allocated. *)
+  let e = Engine.create () in
+  let act () = () in
+  let handles = Array.make 200 (Engine.schedule e ~delay:0 act) in
+  let batch () =
+    for i = 0 to 199 do
+      handles.(i) <- Engine.schedule e ~delay:(1000 + i) act
+    done;
+    for i = 0 to 179 do
+      Engine.cancel e handles.(i)
+    done;
+    Engine.run e
+  in
+  batch ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 20 do
+    batch ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words in steady state" 0.0 words
+
 let prop_ipq_model =
   (* The int-keyed heap against the obvious model: a sorted list. Keys
      are made unique by packing the op index into the low bits, exactly
@@ -386,6 +499,11 @@ let prop_ipq_model =
             model := List.merge compare [ (key, i) ] !model
           end)
         ops;
+      ok := !ok && Ipq.size q = List.length !model;
+      (* in-place filter + heapify (the purge path): drop payloads
+         divisible by 3, survivors keep their order *)
+      Ipq.filter_in_place q (fun d v -> v mod d <> 0) 3;
+      model := List.filter (fun (_, v) -> v mod 3 <> 0) !model;
       ok := !ok && Ipq.size q = List.length !model;
       (* to_sorted_pairs/reload round-trip (the renumbering path) *)
       let pairs = Ipq.to_sorted_pairs q in
@@ -522,6 +640,7 @@ let () =
           Alcotest.test_case "pop releases payloads" `Quick test_heap_pop_releases;
         ] );
       qsuite "heap-prop" [ prop_heap_sorts; prop_ipq_model ];
+      qsuite "engine-prop" [ prop_engine_cancel_matches_reference ];
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
@@ -557,6 +676,8 @@ let () =
           Alcotest.test_case "cancel middle fifo" `Quick test_engine_cancel_middle_fifo;
           Alcotest.test_case "cancel heavy purge" `Quick test_engine_cancel_heavy_purge;
           Alcotest.test_case "seq era renumber" `Slow test_engine_seq_era_renumber;
+          Alcotest.test_case "schedule/cancel loop allocates nothing" `Quick
+            test_engine_cancel_loop_allocation_free;
         ] );
       ( "metrics",
         [

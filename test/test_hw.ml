@@ -52,6 +52,115 @@ let prop_ecc_corrects_any_single_flip =
       let data, status = Ecc.decode (Ecc.flip (Ecc.encode v) bit) in
       Int64.equal data v && status = Ecc.Corrected)
 
+(* The bit-serial codec Ecc used before it went word-parallel, kept as
+   the oracle: codewords (by their printed form), data and status must
+   all agree for every input. *)
+module Ref_ecc = struct
+  type w = { lo : int64; hi : int }
+
+  let is_power_of_two i = i land (i - 1) = 0
+
+  let data_positions =
+    Array.of_list (List.filter (fun p -> not (is_power_of_two p)) (List.init 71 (fun i -> i + 1)))
+
+  let get w i =
+    if i < 64 then Int64.logand (Int64.shift_right_logical w.lo i) 1L = 1L
+    else (w.hi lsr (i - 64)) land 1 = 1
+
+  let set w i b =
+    if i < 64 then
+      let mask = Int64.shift_left 1L i in
+      if b then { w with lo = Int64.logor w.lo mask }
+      else { w with lo = Int64.logand w.lo (Int64.lognot mask) }
+    else
+      let mask = 1 lsl (i - 64) in
+      if b then { w with hi = w.hi lor mask } else { w with hi = w.hi land lnot mask }
+
+  let syndrome w =
+    let s = ref 0 in
+    for i = 1 to 71 do
+      if get w i then s := !s lxor i
+    done;
+    !s
+
+  let parity_over_all w =
+    let p = ref false in
+    for i = 0 to 71 do
+      if get w i then p := not !p
+    done;
+    !p
+
+  let encode data =
+    let w = ref { lo = 0L; hi = 0 } in
+    Array.iteri
+      (fun k pos -> w := set !w pos (Int64.logand (Int64.shift_right_logical data k) 1L = 1L))
+      data_positions;
+    let s = syndrome !w in
+    let j = ref 1 in
+    while !j <= 64 do
+      if s land !j <> 0 then w := set !w !j true;
+      j := !j lsl 1
+    done;
+    if parity_over_all !w then w := set !w 0 true;
+    !w
+
+  let extract w =
+    let d = ref 0L in
+    Array.iteri
+      (fun k pos -> if get w pos then d := Int64.logor !d (Int64.shift_left 1L k))
+      data_positions;
+    !d
+
+  let decode w =
+    let s = syndrome w in
+    let odd = parity_over_all w in
+    if s = 0 && not odd then (extract w, Ecc.Clean)
+    else if s = 0 then (extract w, Ecc.Corrected)
+    else if odd then (extract (set w s (not (get w s))), Ecc.Corrected)
+    else (extract w, Ecc.Uncorrectable)
+
+  let flip w i = set w i (not (get w i))
+
+  let to_hex w = Printf.sprintf "%02x%016Lx" w.hi w.lo
+end
+
+(* Flip [bits] in both codecs' encodings of [data]; true iff codewords,
+   decoded data and status agree. *)
+let ecc_matches_reference data bits =
+  let w = List.fold_left Ecc.flip (Ecc.encode data) bits in
+  let r = List.fold_left Ref_ecc.flip (Ref_ecc.encode data) bits in
+  let d, st = Ecc.decode w and rd, rst = Ref_ecc.decode r in
+  Format.asprintf "%a" Ecc.pp w = Ref_ecc.to_hex r && Int64.equal d rd && st = rst
+
+let ecc_fixed_words = [ 0L; 1L; -1L; Int64.min_int; 0x5555555555555555L; 0xDEADBEEFCAFEBABEL ]
+
+let test_ecc_matches_reference_flips () =
+  List.iter
+    (fun v ->
+      for i = 0 to Ecc.width - 1 do
+        if not (ecc_matches_reference v [ i ]) then Alcotest.failf "%Lx: flip %d differs" v i;
+        for j = i + 1 to Ecc.width - 1 do
+          if not (ecc_matches_reference v [ i; j ]) then
+            Alcotest.failf "%Lx: flips %d,%d differ" v i j
+        done
+      done)
+    ecc_fixed_words;
+  (* Triple flips reach syndromes past position 71 (nothing to repair). *)
+  let v = 0x0123456789ABCDEFL in
+  for i = 0 to Ecc.width - 1 do
+    for j = i + 1 to Ecc.width - 1 do
+      for k = j + 1 to Ecc.width - 1 do
+        if not (ecc_matches_reference v [ i; j; k ]) then
+          Alcotest.failf "flips %d,%d,%d differ" i j k
+      done
+    done
+  done
+
+let prop_ecc_matches_reference =
+  QCheck.Test.make ~name:"word-parallel codec = bit-serial reference" ~count:2000
+    QCheck.(pair int64 (list_of_size Gen.(0 -- 4) (int_bound (Ecc.width - 1))))
+    (fun (v, bits) -> ecc_matches_reference v bits)
+
 (* --- Register --- *)
 
 let test_register_write_read () =
@@ -516,8 +625,11 @@ let () =
           Alcotest.test_case "double flip detected" `Slow test_ecc_double_flip_detected;
           Alcotest.test_case "flip bounds" `Quick test_ecc_flip_bounds;
           Alcotest.test_case "flip involutive" `Quick test_ecc_flip_involutive;
+          Alcotest.test_case "matches bit-serial reference" `Quick
+            test_ecc_matches_reference_flips;
         ] );
-      qsuite "ecc-prop" [ prop_ecc_roundtrip; prop_ecc_corrects_any_single_flip ];
+      qsuite "ecc-prop"
+        [ prop_ecc_roundtrip; prop_ecc_corrects_any_single_flip; prop_ecc_matches_reference ];
       ( "register",
         [
           Alcotest.test_case "write read" `Quick test_register_write_read;

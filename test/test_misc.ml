@@ -105,6 +105,42 @@ let test_client_retransmits_until_served () =
   Alcotest.(check int) "completed after retries" 1 stats.Stats.completed;
   Alcotest.(check int) "two retransmissions" 2 stats.Stats.retransmissions
 
+let test_client_tally_allocation_free () =
+  (* A reply tally short of the quorum, in steady state: voter bitset
+     plus per-replica result array, so not one minor word. Replicas 0
+     and 1 disagree and keep re-voting; quorum 3 is never reached. *)
+  let engine = Engine.create () in
+  let handler = ref (fun ~src:_ (_ : Types.reply option) -> ()) in
+  let fabric =
+    {
+      Transport.n_endpoints = 5;
+      send = (fun ~src:_ ~dst:_ _ -> ());
+      multicast = None;
+      set_handler = (fun _ h -> handler := h);
+      detach = (fun _ -> ());
+      messages_sent = (fun () -> 0);
+      bytes_sent = (fun () -> 0);
+    }
+  in
+  let client =
+    Client.create engine fabric ~id:4 ~n_replicas:4 ~quorum:3 ~retry_timeout:1_000
+      ~stats:(Stats.create ()) ~to_msg:(fun _ -> None) ~of_msg:Fun.id ()
+  in
+  Client.submit client ~payload:7L;
+  let reply replica result = Some { Types.client = 4; rid = 1; result; replica } in
+  let a = reply 0 1L and b = reply 1 2L and c = reply 0 2L in
+  let h = !handler in
+  h ~src:0 a;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    h ~src:0 a;
+    h ~src:1 b;
+    h ~src:0 c
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "still outstanding" true (Client.outstanding client);
+  Alcotest.(check (float 0.0)) "minor words per tally" 0.0 words
+
 (* --- trinc fail-stop accounting --- *)
 
 let test_trinc_register_fault_detected () =
@@ -195,6 +231,8 @@ let () =
         [
           Alcotest.test_case "queueing and shutdown" `Quick test_client_queueing_and_shutdown;
           Alcotest.test_case "retransmits until served" `Quick test_client_retransmits_until_served;
+          Alcotest.test_case "reply tally allocates nothing" `Quick
+            test_client_tally_allocation_free;
         ] );
       ( "hybrids",
         [ Alcotest.test_case "trinc register fault" `Quick test_trinc_register_fault_detected ] );

@@ -113,50 +113,127 @@ let test_check_n () =
 
 (* --- Digest_map vs (int64, _) Hashtbl --------------------------------- *)
 
-type dm_op = Set of int64 * int | Remove of int64 | Reset
+type dm_op = Set of int64 * int | Remove of int64 | Take of int64 | Reset
 
 let dm_op_gen =
-  (* A small key pool forces collisions, overwrites and tombstone reuse. *)
+  (* A small key pool forces collisions, overwrites and deletions inside
+     probe clusters. *)
   QCheck.Gen.(
     let key = map (fun i -> Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L) (int_bound 40) in
     frequency
       [
         (6, map2 (fun k v -> Set (k, v)) key (int_bound 1000));
-        (3, map (fun k -> Remove k) key);
+        (2, map (fun k -> Remove k) key);
+        (1, map (fun k -> Take k) key);
         (1, return Reset);
+      ])
+
+(* Remove-heavy churn over keys that all hash to the last buckets of a
+   small table (the high word is 0, so the bucket is the low bits):
+   clusters wrap past the table end and backward shift must carry
+   entries across it. Live entries stay few, so the table mostly keeps
+   its capacity of 8. *)
+let dm_wrap_op_gen =
+  QCheck.Gen.(
+    let key =
+      map2
+        (fun home i -> Int64.of_int (home + (16 * i)))
+        (oneofl [ 6; 7; 7; 14; 15; 15; 0 ])
+        (int_bound 5)
+    in
+    frequency
+      [
+        (4, map2 (fun k v -> Set (k, v)) key (int_bound 1000));
+        (3, map (fun k -> Remove k) key);
+        (3, map (fun k -> Take k) key);
       ])
 
 let dm_print = function
   | Set (k, v) -> Printf.sprintf "set %Lx %d" k v
   | Remove k -> Printf.sprintf "del %Lx" k
+  | Take k -> Printf.sprintf "take %Lx" k
   | Reset -> "reset"
+
+let digest_map_model_agrees ops =
+  let dm = Digest_map.create ~capacity:8 () in
+  let model : (int64, int) Hashtbl.t = Hashtbl.create 16 in
+  List.for_all
+    (fun op ->
+      let step_ok =
+        match op with
+        | Set (k, v) ->
+          Digest_map.set dm k v;
+          Hashtbl.replace model k v;
+          true
+        | Remove k ->
+          Digest_map.remove dm k;
+          Hashtbl.remove model k;
+          true
+        | Take k ->
+          (* find-and-remove in one probe: index, value_at, remove_at *)
+          let i = Digest_map.index dm k in
+          let expected = Hashtbl.find_opt model k in
+          Hashtbl.remove model k;
+          if i >= 0 then begin
+            let v = Digest_map.value_at dm i in
+            Digest_map.remove_at dm i;
+            expected = Some v
+          end
+          else expected = None
+        | Reset ->
+          Digest_map.reset dm;
+          Hashtbl.reset model;
+          true
+      in
+      step_ok
+      && Digest_map.length dm = Hashtbl.length model
+      && Hashtbl.fold
+           (fun k v ok ->
+             ok && Digest_map.get dm k = Some v && Digest_map.mem dm k
+             && Digest_map.value_at dm (Digest_map.index dm k) = v)
+           model true
+      && Digest_map.fold (fun k v ok -> ok && Hashtbl.find_opt model k = Some v) dm true)
+    ops
 
 let prop_digest_map_model =
   QCheck.Test.make ~name:"Digest_map = (int64, int) Hashtbl" ~count:300
     QCheck.(make ~print:Print.(list dm_print) Gen.(list_size (int_bound 200) dm_op_gen))
-    (fun ops ->
-      let dm = Digest_map.create ~capacity:8 () in
-      let model : (int64, int) Hashtbl.t = Hashtbl.create 16 in
-      List.for_all
-        (fun op ->
-          (match op with
-           | Set (k, v) ->
-             Digest_map.set dm k v;
-             Hashtbl.replace model k v
-           | Remove k ->
-             Digest_map.remove dm k;
-             Hashtbl.remove model k
-           | Reset ->
-             Digest_map.reset dm;
-             Hashtbl.reset model);
-          Digest_map.length dm = Hashtbl.length model
-          && Hashtbl.fold
-               (fun k v ok ->
-                 ok && Digest_map.get dm k = Some v && Digest_map.mem dm k
-                 && Digest_map.value_at dm (Digest_map.index dm k) = v)
-               model true
-          && Digest_map.fold (fun k v ok -> ok && Hashtbl.find_opt model k = Some v) dm true)
-        ops)
+    digest_map_model_agrees
+
+let prop_digest_map_wraparound =
+  QCheck.Test.make ~name:"Digest_map backward shift across the table end" ~count:300
+    QCheck.(make ~print:Print.(list dm_print) Gen.(list_size (int_bound 300) dm_wrap_op_gen))
+    digest_map_model_agrees
+
+let test_digest_map_allocation_free () =
+  (* set / index / value_at / remove_at churn over pre-boxed keys, with
+     colliding clusters: once the table has its size, not one minor
+     word (no probe closures, no tombstone rebuilds). *)
+  let keys = Array.init 64 (fun i -> Int64.of_int ((i * 8) + (i mod 3))) in
+  let dm = Digest_map.create ~capacity:128 () in
+  let sum = ref 0 in
+  let round () =
+    (* loops, so the test itself builds no closures *)
+    for j = 0 to Array.length keys - 1 do
+      Digest_map.set dm keys.(j) j
+    done;
+    for j = 0 to Array.length keys - 1 do
+      let i = Digest_map.index dm keys.(j) in
+      if i >= 0 then begin
+        sum := !sum + Digest_map.value_at dm i;
+        Digest_map.remove_at dm i
+      end
+    done
+  in
+  round ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 200 do
+    round ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every value found" (201 * 2016) !sum;
+  Alcotest.(check int) "empty again" 0 (Digest_map.length dm);
+  Alcotest.(check (float 0.0)) "minor words in steady state" 0.0 words
 
 (* --- Slot_ring vs (seq, _) Hashtbl ------------------------------------ *)
 
@@ -259,11 +336,14 @@ let () =
             prop_rounds_model;
             prop_digest_map_model;
             prop_slot_ring_model;
+            prop_digest_map_wraparound;
           ] );
       ( "units",
         [
           Alcotest.test_case "rounds reclaim stale slots" `Quick test_rounds_reclaim;
           Alcotest.test_case "check_n bounds" `Quick test_check_n;
           Alcotest.test_case "slot-ring outliers bounded" `Quick test_slot_ring_outlier_bounded;
+          Alcotest.test_case "digest-map churn allocates nothing" `Quick
+            test_digest_map_allocation_free;
         ] );
     ]
