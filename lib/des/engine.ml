@@ -120,8 +120,8 @@ let alloc_slot t =
 
 (* Recycling clears the action cell so a fired event's closure (and
    whatever it captures) is collectable immediately, not when the slot
-   happens to be overwritten — the pooled analogue of the Heap.pop
-   vacated-slot fix. The generation bump invalidates outstanding
+   happens to be overwritten, the same reason a binary heap clears the
+   slot a pop vacates. The generation bump invalidates outstanding
    handles. *)
 let free_slot t slot =
   Array.unsafe_set t.actions slot nop;

@@ -97,13 +97,15 @@ val trinc : t -> replica:int -> Trinc.t
 val replica_online : t -> replica:int -> bool
 
 val set_offline : t -> replica:int -> unit
-(** Tile powered down (e.g. for rejuvenation): drops all traffic. *)
+(** Tile powered down (e.g. for rejuvenation): drops all traffic.
+    Requires [config.checkpoint = Some _]; raises [Invalid_argument]
+    otherwise. *)
 
 val set_online : t -> replica:int -> unit
-(** Rejoin after rejuvenation. With checkpointing enabled the replica
-    restarts wiped (only its TrInc counter, being trusted hardware,
-    survives) and fetches the latest certified checkpoint plus log
-    suffix from the active replicas; without it, legacy behaviour: a
-    free state copy from the most advanced online replica. *)
+(** Rejoin after rejuvenation: the replica restarts wiped (only its TrInc
+    counter, being trusted hardware, survives) and fetches the latest
+    certified checkpoint plus log suffix from the active replicas.
+    Requires [config.checkpoint = Some _]; raises [Invalid_argument]
+    otherwise. *)
 
 val message_name : msg -> string

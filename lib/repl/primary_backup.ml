@@ -2,6 +2,7 @@ module Engine = Resoc_des.Engine
 module Behavior = Resoc_fault.Behavior
 module Hash = Resoc_crypto.Hash
 module Check = Resoc_check.Check
+module Core = Replica_core
 
 type msg =
   | Request of Types.request
@@ -40,37 +41,15 @@ let default_config =
 let n_replicas config = config.n_backups + 1
 
 type replica = {
-  id : int;
-  n : int;
-  engine : Engine.t;
-  fabric : msg Transport.fabric;
+  core : msg Core.t;
   config : config;
-  behavior : Behavior.t;
-  app : App.t;
-  stats : Stats.t;
   mutable epoch : int;
   mutable seq : int;  (* primary: updates shipped; backup: updates applied *)
   mutable last_heartbeat : int;
-  mutable rid_last : int array;  (* client -> last rid, min_int = none *)
-  mutable rid_result : int64 array;
-  peer_ids : int array;  (* everyone but self *)
-  mcast : (src:int -> dsts:int array -> n:int -> msg -> unit) option;
-      (* fabric multicast, resolved once; None = per-destination sends *)
-  chk : int;  (* resoc_check session, -1 when checking is off *)
-  mutable online : bool;
-  cp : Checkpoint.t option;  (* checkpoint certificates, None = legacy *)
-  mutable recover_timer : Engine.handle option;
-  mutable batcher : Batcher.t option;  (* primary-side batching, None = legacy *)
   buffered : (int * int, unit) Hashtbl.t;  (* (client, rid) parked in the batcher *)
 }
 
-type t = {
-  engine : Engine.t;
-  config : config;
-  replicas : replica array;
-  clients : msg Client.t array;
-  shared_stats : Stats.t;
-}
+type t = { replicas : replica array; clients : msg Client.t array; shared_stats : Stats.t }
 
 let message_name = function
   | Request _ -> "request"
@@ -85,39 +64,7 @@ let message_name = function
 
 let primary_of ~epoch ~n = epoch mod n
 
-let is_primary (r : replica) = primary_of ~epoch:r.epoch ~n:r.n = r.id
-
-let alive (r : replica) = not (Behavior.is_crashed r.behavior ~now:(Engine.now r.engine))
-
-let send (r : replica) ~dst msg =
-  if r.online && alive r then
-    match Behavior.active_strategy r.behavior ~now:(Engine.now r.engine) with
-    | Some Behavior.Silent -> ()
-    | Some (Behavior.Delay d) ->
-      ignore
-        (Engine.schedule r.engine ~delay:d (fun () -> r.fabric.Transport.send ~src:r.id ~dst msg))
-    | Some Behavior.Equivocate | Some Behavior.Corrupt_execution | None ->
-      r.fabric.Transport.send ~src:r.id ~dst msg
-
-(* Fan-outs to the peer set take the fabric's tree multicast when the
-   replica was built with one: a single behaviour gate, then one
-   injection that forks in the network instead of per-peer unicasts. *)
-let broadcast r ~to_ msg =
-  match r.mcast with
-  | Some mc ->
-    if r.online && alive r then (
-      match Behavior.active_strategy r.behavior ~now:(Engine.now r.engine) with
-      | Some Behavior.Silent -> ()
-      | Some (Behavior.Delay d) ->
-        ignore
-          (Engine.schedule r.engine ~delay:d (fun () ->
-               mc ~src:r.id ~dsts:to_ ~n:(Array.length to_) msg))
-      | Some Behavior.Equivocate | Some Behavior.Corrupt_execution | None ->
-        mc ~src:r.id ~dsts:to_ ~n:(Array.length to_) msg)
-  | None ->
-    for i = 0 to Array.length to_ - 1 do
-      send r ~dst:(Array.unsafe_get to_ i) msg
-    done
+let is_primary (r : replica) = primary_of ~epoch:r.epoch ~n:r.core.n = r.core.id
 
 (* Both ends of an Update derive the same digest from its payload, so the
    checker can compare primary and backup commits at one (epoch, seq) slot. *)
@@ -136,84 +83,30 @@ let update_b_digest ~state ~(replies : (int * int * int64) list) =
     (Hash.combine (Hash.of_string "pb-update-b") state)
     replies
 
-let rid_slot r client =
-  let len = Array.length r.rid_last in
-  if client >= len then begin
-    let ncap = ref (max 8 (2 * len)) in
-    while client >= !ncap do
-      ncap := 2 * !ncap
-    done;
-    let nlast = Array.make !ncap min_int in
-    Array.blit r.rid_last 0 nlast 0 len;
-    let nresult = Array.make !ncap 0L in
-    Array.blit r.rid_result 0 nresult 0 len;
-    r.rid_last <- nlast;
-    r.rid_result <- nresult
-  end;
-  client
-
-let rid_reset r = Array.fill r.rid_last 0 (Array.length r.rid_last) min_int
-
-let cancel_recover_timer r =
-  match r.recover_timer with
-  | Some h ->
-    Engine.cancel r.engine h;
-    r.recover_timer <- None
-  | None -> ()
-
-(* Fetch the latest certified checkpoint, re-asking on a request-timeout
-   cadence until a transfer installs. Only the primary holds a stable
-   certificate (quorum 1: its own vote), but the rejoiner asks everyone. *)
-let start_recovery (r : replica) cp =
-  Checkpoint.begin_recovery cp ~now:(Engine.now r.engine);
-  let fetch () = broadcast r ~to_:r.peer_ids (Fetch_state { have = Checkpoint.low cp }) in
-  let rec arm () =
-    cancel_recover_timer r;
-    r.recover_timer <-
-      Some
-        (Engine.schedule r.engine ~delay:r.config.request_timeout (fun () ->
-             r.recover_timer <- None;
-             if r.online && Checkpoint.recovering cp then begin
-               fetch ();
-               arm ()
-             end))
-  in
-  fetch ();
-  arm ()
-
-let maybe_catchup r cp =
-  if Checkpoint.needs_catchup cp && not (Checkpoint.recovering cp) then start_recovery r cp
+(* Checkpoints here keep no agreement log to truncate and nothing waits on
+   the watermark: a certificate only counts. *)
+let count_vote r cp ~seq ~digest ~voter =
+  if Checkpoint.note_vote cp ~seq ~digest ~voter >= 0 then
+    r.core.stats.Stats.checkpoints <- r.core.stats.Stats.checkpoints + 1
 
 (* Primary-side checkpointing: at every boundary the primary digests its
    state, announces the vote (so backups track stability and detect
    falling behind), and — the quorum being 1 in the crash-pair model —
    immediately stabilises its own certificate. *)
 let note_boundary r =
-  match r.cp with
+  let c = r.core in
+  match c.cp with
   | None -> ()
   | Some cp -> (
-    if r.chk >= 0 then
-      Check.exec_window ~session:r.chk ~replica:r.id ~seq:r.seq ~low:(Checkpoint.low cp)
-        ~high:(Checkpoint.high cp)
-        ~faulty:(Behavior.is_faulty r.behavior);
+    Core.check_exec_window c ~seq:r.seq;
     match
-      Checkpoint.note_exec cp ~seq:r.seq ~state:(App.state r.app) ~rid_last:r.rid_last
-        ~rid_result:r.rid_result
+      Checkpoint.note_exec cp ~seq:r.seq ~state:(App.state c.app) ~rid_last:c.rid_last
+        ~rid_result:c.rid_result
     with
     | None -> ()
-    | Some d ->
-      broadcast r ~to_:r.peer_ids (Checkpoint_vote { seq = r.seq; digest = d });
-      if Checkpoint.note_vote cp ~seq:r.seq ~digest:d ~voter:r.id >= 0 then
-        r.stats.Stats.checkpoints <- r.stats.Stats.checkpoints + 1)
-
-let reply_now r ~client ~rid ~result =
-  let corrupt =
-    match Behavior.active_strategy r.behavior ~now:(Engine.now r.engine) with
-    | Some Behavior.Corrupt_execution -> true
-    | Some _ | None -> false
-  in
-  let result = if corrupt then Int64.logxor result 0xBADBADL else result in
-  send r ~dst:client (Reply { Types.client = client; rid; result; replica = r.id })
+    | Some digest ->
+      Core.broadcast c ~to_:c.peer_ids (Checkpoint_vote { seq = r.seq; digest });
+      count_vote r cp ~seq:r.seq ~digest ~voter:c.id)
 
 (* Batched primary path ([config.batching], the [Batcher.seal] callback):
    execute the whole batch in arrival order, bump the sequence number
@@ -225,49 +118,32 @@ let exec_batch r (requests : Types.request list) =
     (fun (req : Types.request) -> Hashtbl.remove r.buffered (req.Types.client, req.Types.rid))
     requests;
   if requests <> [] && is_primary r then begin
+    let c = r.core in
     let replies =
       List.map
-        (fun (req : Types.request) ->
-          let client = req.Types.client and rid = req.Types.rid in
-          let c = rid_slot r client in
-          let result =
-            if r.rid_last.(c) <> min_int && rid <= r.rid_last.(c) then r.rid_result.(c)
-            else begin
-              let result = App.execute r.app req.Types.payload in
-              r.rid_last.(c) <- rid;
-              r.rid_result.(c) <- result;
-              result
-            end
-          in
-          (client, rid, result))
+        (fun (req : Types.request) -> (req.Types.client, req.Types.rid, Core.execute c req))
         requests
     in
     r.seq <- r.seq + 1;
-    let state = App.state r.app in
-    if r.chk >= 0 then begin
-      Check.commit ~session:r.chk ~replica:r.id ~view:r.epoch ~seq:r.seq
+    let state = App.state c.app in
+    if c.chk >= 0 then begin
+      Check.commit ~session:c.chk ~replica:c.id ~view:r.epoch ~seq:r.seq
         ~digest:(update_b_digest ~state ~replies)
         ~signers:(-1) ~quorum:1
-        ~faulty:(Behavior.is_faulty r.behavior);
-      let len = List.length replies in
-      List.iteri
-        (fun pos (client, rid, _) ->
-          Check.batch_commit ~session:r.chk ~replica:r.id ~view:r.epoch ~seq:r.seq ~pos ~len
-            ~client ~rid
-            ~faulty:(Behavior.is_faulty r.behavior))
-        replies
+        ~faulty:(Behavior.is_faulty c.behavior);
+      Core.check_batch c ~view:r.epoch ~seq:r.seq requests
     end;
-    broadcast r ~to_:r.peer_ids (Update_b { epoch = r.epoch; seq = r.seq; state; replies });
+    Core.broadcast c ~to_:c.peer_ids (Update_b { epoch = r.epoch; seq = r.seq; state; replies });
     note_boundary r;
-    List.iter (fun (client, rid, result) -> reply_now r ~client ~rid ~result) replies
+    List.iter (fun (client, rid, result) -> Core.reply c ~client ~rid result) replies
   end
 
 let on_request r (request : Types.request) =
   if is_primary r then begin
+    let c = r.core in
     let client = request.Types.client and rid = request.Types.rid in
-    let c = rid_slot r client in
-    let cached = r.rid_last.(c) <> min_int && rid <= r.rid_last.(c) in
-    match r.batcher with
+    let cached = Core.cached c request in
+    match c.batcher with
     | Some b when not cached ->
       (* Retransmissions of a request already parked in the batcher must
          not enter a second batch. *)
@@ -276,96 +152,83 @@ let on_request r (request : Types.request) =
         Batcher.add b request
       end
     | Some _ | None ->
-      let result =
-        if cached then r.rid_result.(c)
-        else begin
-          let result = App.execute r.app request.Types.payload in
-          r.rid_last.(c) <- rid;
-          r.rid_result.(c) <- result;
-          r.seq <- r.seq + 1;
-          if r.chk >= 0 then
-            Check.commit ~session:r.chk ~replica:r.id ~view:r.epoch ~seq:r.seq
-              ~digest:(update_digest ~state:(App.state r.app) ~client ~rid ~result)
-              ~signers:(-1) ~quorum:1
-              ~faulty:(Behavior.is_faulty r.behavior);
-          (* Ship the new state to the standbys. *)
-          broadcast r ~to_:r.peer_ids
-            (Update { epoch = r.epoch; seq = r.seq; state = App.state r.app; client; rid; result });
-          note_boundary r;
-          result
-        end
-      in
-      reply_now r ~client ~rid ~result
+      if cached then Core.reply_cached c request
+      else begin
+        let result = Core.execute c request in
+        r.seq <- r.seq + 1;
+        if c.chk >= 0 then
+          Check.commit ~session:c.chk ~replica:c.id ~view:r.epoch ~seq:r.seq
+            ~digest:(update_digest ~state:(App.state c.app) ~client ~rid ~result)
+            ~signers:(-1) ~quorum:1
+            ~faulty:(Behavior.is_faulty c.behavior);
+        (* Ship the new state to the standbys. *)
+        Core.broadcast c ~to_:c.peer_ids
+          (Update { epoch = r.epoch; seq = r.seq; state = App.state c.app; client; rid; result });
+        note_boundary r;
+        Core.reply c ~client ~rid result
+      end
   end
 
 let on_update r ~epoch ~seq ~state ~client ~rid ~result =
   if epoch >= r.epoch && seq > r.seq then begin
+    let c = r.core in
     r.epoch <- max r.epoch epoch;
     r.seq <- seq;
-    App.set_state r.app state;
-    if r.chk >= 0 then
-      Check.commit ~session:r.chk ~replica:r.id ~view:epoch ~seq
+    App.set_state c.app state;
+    if c.chk >= 0 then
+      Check.commit ~session:c.chk ~replica:c.id ~view:epoch ~seq
         ~digest:(update_digest ~state ~client ~rid ~result)
         ~signers:(-1) ~quorum:1
-        ~faulty:(Behavior.is_faulty r.behavior);
-    let c = rid_slot r client in
-    r.rid_last.(c) <- rid;
-    r.rid_result.(c) <- result;
-    (match r.cp with
+        ~faulty:(Behavior.is_faulty c.behavior);
+    Core.store c ~client ~rid result;
+    match c.cp with
     | None -> ()
     | Some cp ->
       (* Landing exactly on a boundary lets the backup match the
          primary's vote; a skipped boundary (gap in the update stream)
          instead trips the catch-up path when the vote arrives. *)
-      ignore
-        (Checkpoint.note_exec cp ~seq ~state ~rid_last:r.rid_last ~rid_result:r.rid_result))
+      ignore (Checkpoint.note_exec cp ~seq ~state ~rid_last:c.rid_last ~rid_result:c.rid_result)
   end
 
 let on_update_b r ~epoch ~seq ~state ~(replies : (int * int * int64) list) =
   if epoch >= r.epoch && seq > r.seq then begin
+    let c = r.core in
     r.epoch <- max r.epoch epoch;
     r.seq <- seq;
-    App.set_state r.app state;
-    if r.chk >= 0 then begin
-      Check.commit ~session:r.chk ~replica:r.id ~view:epoch ~seq
+    App.set_state c.app state;
+    if c.chk >= 0 then begin
+      Check.commit ~session:c.chk ~replica:c.id ~view:epoch ~seq
         ~digest:(update_b_digest ~state ~replies)
         ~signers:(-1) ~quorum:1
-        ~faulty:(Behavior.is_faulty r.behavior);
+        ~faulty:(Behavior.is_faulty c.behavior);
       let len = List.length replies in
       List.iteri
         (fun pos (client, rid, _) ->
-          Check.batch_commit ~session:r.chk ~replica:r.id ~view:epoch ~seq ~pos ~len ~client ~rid
-            ~faulty:(Behavior.is_faulty r.behavior))
+          Check.batch_commit ~session:c.chk ~replica:c.id ~view:epoch ~seq ~pos ~len ~client ~rid
+            ~faulty:(Behavior.is_faulty c.behavior))
         replies
     end;
     List.iter
       (fun (client, rid, result) ->
-        let c = rid_slot r client in
+        let i = Core.rid_slot c client in
         (* Reply-cache hits sealed into a batch carry their old rid; never
            regress the cache below what this backup already recorded. *)
-        if r.rid_last.(c) = min_int || rid > r.rid_last.(c) then begin
-          r.rid_last.(c) <- rid;
-          r.rid_result.(c) <- result
+        if c.rid_last.(i) = min_int || rid > c.rid_last.(i) then begin
+          c.rid_last.(i) <- rid;
+          c.rid_result.(i) <- result
         end)
       replies;
-    (match r.cp with
+    match c.cp with
     | None -> ()
     | Some cp ->
-      ignore (Checkpoint.note_exec cp ~seq ~state ~rid_last:r.rid_last ~rid_result:r.rid_result))
+      ignore (Checkpoint.note_exec cp ~seq ~state ~rid_last:c.rid_last ~rid_result:c.rid_result)
   end
 
-let on_checkpoint_vote r ~src ~seq ~digest =
-  match r.cp with
+let on_fetch_state r ~src ~have =
+  let c = r.core in
+  match c.cp with
   | None -> ()
   | Some cp ->
-    if Checkpoint.note_vote cp ~seq ~digest ~voter:src >= 0 then
-      r.stats.Stats.checkpoints <- r.stats.Stats.checkpoints + 1;
-    maybe_catchup r cp
-
-let on_fetch_state r ~src ~have =
-  match r.cp with
-  | None -> ()
-  | Some cp -> (
     (* Self-stabilize at the execution tip before serving: Updates carry
        full state but no replayable log, so serving the last periodic
        boundary would restore a wiped primary behind the backups and make
@@ -374,62 +237,31 @@ let on_fetch_state r ~src ~have =
        certificate (the quorum is 1). The transfer then needs no log
        suffix: Meta + reply-cache chunks reconstruct the replica. *)
     if (not (Checkpoint.recovering cp)) && r.seq > Checkpoint.low cp then
-      Checkpoint.force_stable cp ~seq:r.seq ~state:(App.state r.app) ~rid_last:r.rid_last
-        ~rid_result:r.rid_result ~voter:r.id;
-    match Checkpoint.serve cp ~view:r.epoch ~have ~suffix:[] with
-    | Some chunks -> List.iter (fun c -> send r ~dst:src (State_chunk c)) chunks
-    | None -> ())
+      Checkpoint.force_stable cp ~seq:r.seq ~state:(App.state c.app) ~rid_last:c.rid_last
+        ~rid_result:c.rid_result ~voter:c.id;
+    Core.serve c cp ~src ~view:r.epoch ~have ~suffix:[]
 
-let install_transfer (r : replica) cp (c : Checkpoint.completion) =
-  cancel_recover_timer r;
-  r.epoch <- max r.epoch c.Checkpoint.c_view;
-  App.set_state r.app c.Checkpoint.c_state;
-  rid_reset r;
-  List.iter
-    (fun (client, rid, result) ->
-      let i = rid_slot r client in
-      r.rid_last.(i) <- rid;
-      r.rid_result.(i) <- result)
-    c.Checkpoint.c_rids;
-  r.seq <- c.Checkpoint.c_cert.Checkpoint.cp_seq;
-  r.last_heartbeat <- Engine.now r.engine;
-  Checkpoint.install cp c;
-  r.stats.Stats.state_transfers <- r.stats.Stats.state_transfers + 1;
-  r.stats.Stats.transfer_bytes <- r.stats.Stats.transfer_bytes + c.Checkpoint.c_bytes;
-  r.stats.Stats.transfer_cycles <- r.stats.Stats.transfer_cycles + c.Checkpoint.c_elapsed
-
-let on_state_chunk r ~src chunk =
-  match r.cp with
-  | None -> ()
-  | Some cp -> (
-    match Checkpoint.feed cp ~src ~now:(Engine.now r.engine) chunk with
-    | None -> ()
-    | Some c ->
-      if r.chk >= 0 then
-        Check.transfer_applied ~session:r.chk ~replica:r.id
-          ~seq:c.Checkpoint.c_cert.Checkpoint.cp_seq
-          ~claimed:c.Checkpoint.c_cert.Checkpoint.cp_digest ~actual:c.Checkpoint.c_actual
-          ~faulty:(Behavior.is_faulty r.behavior);
-      if
-        (c.Checkpoint.c_valid || !Checkpoint.test_unverified_transfer)
-        && c.Checkpoint.c_cert.Checkpoint.cp_seq > r.seq
-      then install_transfer r cp c)
+let install_transfer (r : replica) (comp : Checkpoint.completion) =
+  r.epoch <- max r.epoch comp.Checkpoint.c_view;
+  r.seq <- Core.install_state r.core comp;
+  r.last_heartbeat <- Engine.now r.core.engine
 
 let on_heartbeat r ~epoch =
   if epoch >= r.epoch then begin
     r.epoch <- max r.epoch epoch;
-    r.last_heartbeat <- Engine.now r.engine
+    r.last_heartbeat <- Engine.now r.core.engine
   end
 
 let on_promote r ~epoch =
   if epoch > r.epoch then begin
     r.epoch <- epoch;
-    r.last_heartbeat <- Engine.now r.engine;
-    if is_primary r then r.stats.Stats.view_changes <- r.stats.Stats.view_changes + 1
+    r.last_heartbeat <- Engine.now r.core.engine;
+    if is_primary r then r.core.stats.Stats.view_changes <- r.core.stats.Stats.view_changes + 1
   end
 
 let handle (r : replica) ~src msg =
-  if r.online && alive r then
+  let c = r.core in
+  if Core.alive c then
     match msg with
     | Request request -> on_request r request
     | Update { epoch; seq; state; client; rid; result } ->
@@ -438,115 +270,94 @@ let handle (r : replica) ~src msg =
     | Heartbeat { epoch } -> on_heartbeat r ~epoch
     | Promote { epoch } -> on_promote r ~epoch
     | Reply _ -> ()
-    | Checkpoint_vote { seq; digest } -> on_checkpoint_vote r ~src ~seq ~digest
+    | Checkpoint_vote { seq; digest } -> (
+      match c.cp with
+      | Some cp ->
+        count_vote r cp ~seq ~digest ~voter:src;
+        Core.maybe_catchup c
+      | None -> ())
     | Fetch_state { have } -> on_fetch_state r ~src ~have
-    | State_chunk chunk -> on_state_chunk r ~src chunk
+    | State_chunk chunk -> (
+      match Core.on_state_chunk c ~src chunk with
+      | Some comp when comp.Checkpoint.c_cert.Checkpoint.cp_seq > r.seq -> install_transfer r comp
+      | Some _ | None -> ())
 
 (* Primary duty: periodic heartbeats. Backup duty: watch for silence; the
    next-in-line backup promotes itself when the detector fires. Ranks stagger
    the takeover so two backups don't promote simultaneously. *)
 let start_timers (r : replica) =
-  Engine.every r.engine ~period:r.config.heartbeat_period (fun () ->
-      if r.online && alive r then
-        if is_primary r then broadcast r ~to_:r.peer_ids (Heartbeat { epoch = r.epoch })
+  let c = r.core in
+  Engine.every c.engine ~period:r.config.heartbeat_period (fun () ->
+      if Core.alive c then
+        if is_primary r then Core.broadcast c ~to_:c.peer_ids (Heartbeat { epoch = r.epoch })
         else begin
-          let silence = Engine.now r.engine - r.last_heartbeat in
+          let silence = Engine.now c.engine - r.last_heartbeat in
           (* The smallest future epoch whose primary is this replica; the
              extra stagger lets closer-ranked backups claim first, so a dead
              next-in-line does not wedge the failover chain. *)
           let mine =
-            let offset = ((r.id - (r.epoch + 1)) mod r.n + r.n) mod r.n in
+            let offset = ((c.id - (r.epoch + 1)) mod c.n + c.n) mod c.n in
             r.epoch + 1 + offset
           in
           let rank = mine - r.epoch - 1 in
           if silence > r.config.detection_timeout + (rank * r.config.heartbeat_period) then begin
             r.epoch <- mine;
-            r.stats.Stats.view_changes <- r.stats.Stats.view_changes + 1;
-            r.last_heartbeat <- Engine.now r.engine;
-            broadcast r ~to_:r.peer_ids (Promote { epoch = mine })
+            c.stats.Stats.view_changes <- c.stats.Stats.view_changes + 1;
+            r.last_heartbeat <- Engine.now c.engine;
+            Core.broadcast c ~to_:c.peer_ids (Promote { epoch = mine })
           end
         end)
 
 let make_replica engine fabric config stats ~id ~behavior ~chk =
-  let n = n_replicas config in
-  {
-    id;
-    n;
-    engine;
-    fabric;
-    config;
-    behavior;
-    app = App.accumulator ();
-    stats;
-    epoch = 0;
-    seq = 0;
-    last_heartbeat = 0;
-    rid_last = Array.make (n + config.n_clients) min_int;
-    rid_result = Array.make (n + config.n_clients) 0L;
-    peer_ids = Array.init (n - 1) (fun i -> if i < id then i else i + 1);
-    mcast = (if config.multicast then fabric.Transport.multicast else None);
-    chk;
-    online = true;
-    cp =
-      (match config.checkpoint with
-      | Some c -> Some (Checkpoint.create c ~obs:(Engine.obs engine) ~quorum:1)
-      | None -> None);
-    recover_timer = None;
-    batcher = None;
-    buffered = Hashtbl.create 16;
-  }
+  let core =
+    Core.create ~engine ~fabric ~id ~n:(n_replicas config) ~n_clients:config.n_clients ~behavior
+      ~stats ~chk ~request_timeout:config.request_timeout ~multicast:config.multicast
+      ~checkpoint:config.checkpoint ~cp_quorum:1 ~spans:false
+      ~reply:(fun reply -> Reply reply)
+      ~vote:(fun ~seq ~digest -> Checkpoint_vote { seq; digest })
+      ~fetch:(fun ~have -> Fetch_state { have })
+      ~chunk:(fun chunk -> State_chunk chunk)
+  in
+  { core; config; epoch = 0; seq = 0; last_heartbeat = 0; buffered = Hashtbl.create 16 }
 
 (* The primary executes and replies the moment it seals, so there is no
    in-flight agreement to bound: the pipeline gate is trivially open and
    occupancy is always 0 — batching here only amortizes Update traffic. *)
-let attach_batcher engine (r : replica) =
+let attach_batcher (r : replica) =
   match r.config.batching with
   | Some b when Batcher.active b ->
-    r.batcher <-
+    r.core.batcher <-
       Some
-        (Batcher.create ~engine ~cfg:b
-           ~seal:(fun reqs -> exec_batch r reqs)
+        (Batcher.create ~engine:r.core.engine ~cfg:b ~seal:(exec_batch r)
            ~ready:(fun () -> true)
            ~occupancy:(fun () -> 0))
   | Some _ | None -> ()
 
 let start engine fabric config ?behaviors () =
   let n = n_replicas config in
-  let chk = if !Check.enabled then Check.new_session ~protocol:"primary_backup" else -1 in
-  let behaviors =
-    match behaviors with
-    | Some b ->
-      if Array.length b <> n then
-        invalid_arg "Primary_backup.start: behaviors must cover every replica";
-      b
-    | None -> Array.make n Behavior.honest
+  let behaviors, chk =
+    Core.setup ~name:"Primary_backup.start" ~protocol:"primary_backup" fabric ~n
+      ~n_clients:config.n_clients behaviors
   in
-  if fabric.Transport.n_endpoints < n + config.n_clients then
-    invalid_arg "Primary_backup.start: fabric too small";
   let stats = Stats.create () in
   let replicas =
     Array.init n (fun id -> make_replica engine fabric config stats ~id ~behavior:behaviors.(id) ~chk)
   in
   Array.iter
     (fun r ->
-      attach_batcher engine r;
-      fabric.Transport.set_handler r.id (fun ~src msg -> handle r ~src msg);
+      attach_batcher r;
+      fabric.Transport.set_handler r.core.id (fun ~src msg -> handle r ~src msg);
       start_timers r)
     replicas;
   let clients =
-    Array.init config.n_clients (fun i ->
-        Client.create engine fabric ~id:(n + i) ~n_replicas:n ~quorum:1
-          ~retry_timeout:config.request_timeout ~stats
-          ~to_msg:(fun request -> Request request)
-          ~of_msg:(function Reply reply -> Some reply | _ -> None)
-          ())
+    Core.clients engine fabric ~n ~n_clients:config.n_clients ~quorum:1
+      ~retry_timeout:config.request_timeout ~stats
+      ~to_msg:(fun request -> Request request)
+      ~of_msg:(function Reply reply -> Some reply | _ -> None)
   in
-  { engine; config; replicas; clients; shared_stats = stats }
+  { replicas; clients; shared_stats = stats }
 
-let submit t ~client ~payload =
-  if client < 0 || client >= Array.length t.clients then
-    invalid_arg "Primary_backup.submit: unknown client";
-  Client.submit t.clients.(client) ~payload
+let submit t ~client ~payload = Core.submit ~name:"Primary_backup.submit" t.clients ~client ~payload
 
 let stats t = t.shared_stats
 
@@ -554,63 +365,31 @@ let epoch t ~replica = t.replicas.(replica).epoch
 
 let current_primary t =
   let best = Array.fold_left (fun acc r -> if r.epoch > acc.epoch then r else acc) t.replicas.(0) t.replicas in
-  primary_of ~epoch:best.epoch ~n:best.n
+  primary_of ~epoch:best.epoch ~n:best.core.n
 
-let replica_state t ~replica = App.state t.replicas.(replica).app
+let replica_state t ~replica = App.state t.replicas.(replica).core.app
 
-let set_replica_state t ~replica state = App.set_state t.replicas.(replica).app state
+let set_replica_state t ~replica state = App.set_state t.replicas.(replica).core.app state
 
-let replica_online t ~replica = t.replicas.(replica).online
+let replica_online t ~replica = t.replicas.(replica).core.online
 
+(* Rejuvenation is modelled only with checkpointing: without it the
+   rejoining replica would need a state source the protocol lacks. *)
 let set_offline t ~replica =
   let r = t.replicas.(replica) in
-  if r.online then begin
-    r.online <- false;
-    (match r.batcher with Some b -> Batcher.clear b | None -> ());
-    Hashtbl.reset r.buffered;
-    cancel_recover_timer r
-  end
-
-(* Legacy model: free state copy from the most advanced online peer. *)
-let legacy_rejoin t (r : replica) =
-  let best = ref None in
-  Array.iter
-    (fun (peer : replica) ->
-      if peer.id <> r.id && peer.online then
-        match !best with
-        | Some (b : replica) when b.seq >= peer.seq -> ()
-        | Some _ | None -> best := Some peer)
-    t.replicas;
-  match !best with
-  | Some peer ->
-    r.epoch <- peer.epoch;
-    r.seq <- peer.seq;
-    App.set_state r.app (App.state peer.app);
-    rid_reset r;
-    for c = 0 to Array.length peer.rid_last - 1 do
-      if peer.rid_last.(c) <> min_int then begin
-        let i = rid_slot r c in
-        r.rid_last.(i) <- peer.rid_last.(c);
-        r.rid_result.(i) <- peer.rid_result.(c)
-      end
-    done;
-    r.last_heartbeat <- Engine.now r.engine
-  | None -> ()
+  ignore (Core.checkpoint_exn ~name:"Primary_backup.set_offline" r.core);
+  if r.core.online then Hashtbl.reset r.buffered;
+  Core.set_offline r.core
 
 let set_online t ~replica =
   let r = t.replicas.(replica) in
-  if not r.online then begin
-    r.online <- true;
-    r.last_heartbeat <- Engine.now r.engine;
-    match r.cp with
-    | Some cp ->
-      (* Rejuvenation wiped the replica: rejoin by certified transfer
-         instead of a free peer copy. *)
-      r.epoch <- 0;
-      r.seq <- 0;
-      App.set_state r.app 0L;
-      rid_reset r;
-      Checkpoint.reset cp;
-      start_recovery r cp
-    | None -> legacy_rejoin t r
+  let c = r.core in
+  let cp = Core.checkpoint_exn ~name:"Primary_backup.set_online" c in
+  if not c.online then begin
+    c.online <- true;
+    r.last_heartbeat <- Engine.now c.engine;
+    (* Rejuvenation wiped the replica: rejoin by certified transfer. *)
+    r.epoch <- 0;
+    r.seq <- 0;
+    Core.rejoin_wiped c cp
   end

@@ -81,12 +81,13 @@ val set_replica_state : t -> replica:int -> int64 -> unit
 val replica_online : t -> replica:int -> bool
 
 val set_offline : t -> replica:int -> unit
-(** Tile powered down (e.g. for rejuvenation): drops all traffic. *)
+(** Tile powered down (e.g. for rejuvenation): drops all traffic.
+    Requires [config.checkpoint = Some _]; raises [Invalid_argument]
+    otherwise. *)
 
 val set_online : t -> replica:int -> unit
-(** Rejoin after rejuvenation. With checkpointing enabled the replica
-    restarts wiped and fetches the latest certified checkpoint from the
-    primary; without it, legacy behaviour: a free state copy from the
-    most advanced online replica. *)
+(** Rejoin after rejuvenation: the replica restarts wiped and fetches
+    the latest certified checkpoint from the primary. Requires
+    [config.checkpoint = Some _]; raises [Invalid_argument] otherwise. *)
 
 val message_name : msg -> string

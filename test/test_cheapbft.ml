@@ -141,6 +141,17 @@ let test_f2_configuration () =
   let s = Cheapbft.stats sys in
   Alcotest.(check int) "completed with 2 crashes (f=2)" 6 s.Stats.completed
 
+let test_rejuvenation_needs_checkpointing () =
+  (* Without checkpointing a wiped replica has no state source. *)
+  let _, sys, _, _ = setup () in
+  Alcotest.check_raises "set_offline"
+    (Invalid_argument "Cheapbft.set_offline: needs config.checkpoint") (fun () ->
+      Cheapbft.set_offline sys ~replica:1);
+  Alcotest.check_raises "set_online"
+    (Invalid_argument "Cheapbft.set_online: needs config.checkpoint") (fun () ->
+      Cheapbft.set_online sys ~replica:1);
+  Alcotest.(check bool) "still online" true (Cheapbft.replica_online sys ~replica:1)
+
 let () =
   Alcotest.run "resoc_cheapbft"
     [
@@ -156,5 +167,7 @@ let () =
           Alcotest.test_case "trinc attestations issued" `Quick test_trinc_attestations_issued;
           Alcotest.test_case "corrupt active filtered" `Quick test_corrupt_active_filtered;
           Alcotest.test_case "f=2 configuration" `Quick test_f2_configuration;
+          Alcotest.test_case "rejuvenation needs checkpointing" `Quick
+            test_rejuvenation_needs_checkpointing;
         ] );
     ]

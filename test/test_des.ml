@@ -1,66 +1,5 @@
 open Resoc_des
 
-(* --- Heap --- *)
-
-let test_heap_ordering () =
-  let h = Heap.create ~leq:(fun a b -> a <= b) in
-  List.iter (Heap.add h) [ 5; 3; 8; 1; 9; 2; 7; 4; 6; 0 ];
-  let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-  Alcotest.(check (list int)) "sorted drain" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (drain [])
-
-let test_heap_empty () =
-  let h = Heap.create ~leq:(fun a b -> a <= b) in
-  Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek none" None (Heap.peek h);
-  Alcotest.(check (option int)) "pop none" None (Heap.pop h)
-
-let test_heap_peek_stable () =
-  let h = Heap.create ~leq:(fun a b -> a <= b) in
-  List.iter (Heap.add h) [ 4; 2; 9 ];
-  Alcotest.(check (option int)) "peek min" (Some 2) (Heap.peek h);
-  Alcotest.(check int) "size unchanged" 3 (Heap.size h)
-
-let test_heap_interleaved () =
-  let h = Heap.create ~leq:(fun a b -> a <= b) in
-  Heap.add h 5;
-  Heap.add h 1;
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Heap.pop h);
-  Heap.add h 0;
-  Heap.add h 7;
-  Alcotest.(check (option int)) "pop 0" (Some 0) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 5" (Some 5) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 7" (Some 7) (Heap.pop h)
-
-let test_heap_pop_releases () =
-  (* Popped payloads must not stay pinned by the heap's backing array:
-     the vacated slot is overwritten on every pop and the array dropped
-     when the heap drains. *)
-  let h = Heap.create ~leq:(fun (a, _) (b, _) -> a <= b) in
-  let weaks = Weak.create 4 in
-  for i = 0 to 3 do
-    let payload = ref (1000 + i) in
-    Weak.set weaks i (Some payload);
-    Heap.add h (i, payload)
-  done;
-  for _ = 0 to 3 do
-    ignore (Heap.pop h)
-  done;
-  Gc.full_major ();
-  for i = 0 to 3 do
-    Alcotest.(check bool)
-      (Printf.sprintf "payload %d collected" i)
-      false (Weak.check weaks i)
-  done
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains sorted" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~leq:(fun a b -> a <= b) in
-      List.iter (Heap.add h) xs;
-      let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-      drain [] = List.sort compare xs)
-
 (* --- Rng --- *)
 
 let test_rng_determinism () =
@@ -631,15 +570,7 @@ let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 let () =
   Alcotest.run "resoc_des"
     [
-      ( "heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-          Alcotest.test_case "peek stable" `Quick test_heap_peek_stable;
-          Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
-          Alcotest.test_case "pop releases payloads" `Quick test_heap_pop_releases;
-        ] );
-      qsuite "heap-prop" [ prop_heap_sorts; prop_ipq_model ];
+      qsuite "heap-prop" [ prop_ipq_model ];
       qsuite "engine-prop" [ prop_engine_cancel_matches_reference ];
       ( "rng",
         [

@@ -464,6 +464,44 @@ let test_minbft_batching_with_primary_crash () =
   Alcotest.(check int64) "survivors agree" (Minbft.replica_state sys ~replica:1)
     (Minbft.replica_state sys ~replica:2)
 
+(* --- Checkpoint watermark parking the batch pipeline --- *)
+
+(* Checkpoint interval 2 with window 1 lets a primary run at most two
+   instances past its stable checkpoint, so with 16 clients most seals
+   park in the batcher until a certificate forms. When a peer's vote
+   completes it, the parked buffer must be resealed right away: a
+   retransmission cannot do it (the request is already pending) and the
+   window timer is not re-armed, so without that kick the backups time
+   out into view changes. *)
+let test_watermark_advance_unparks_batcher () =
+  List.iter
+    (fun kind ->
+      let engine = Engine.create () in
+      let spec =
+        {
+          Resoc_core.Group.default_spec with
+          kind;
+          f = 1;
+          n_clients = 16;
+          checkpoint = Some { Checkpoint.interval = 2; window = 1; chunk = 8 };
+          batching = Some { Types.window_cycles = 20; max_batch = 2; pipeline_depth = 8 };
+        }
+      in
+      let group = Resoc_core.Group.build engine (Resoc_core.Group.Hub { latency = 5 }) spec in
+      Resoc_workload.Generator.burst ~n_per_client:20 ~n_clients:16
+        ~submit:group.Resoc_core.Group.submit;
+      Engine.run ~until:horizon engine;
+      let name = group.Resoc_core.Group.protocol in
+      let s = group.Resoc_core.Group.stats () in
+      Alcotest.(check int) (name ^ " all complete") 320 s.Stats.completed;
+      Alcotest.(check int) (name ^ " no view change") 0 s.Stats.view_changes;
+      let state replica = group.Resoc_core.Group.replica_state ~replica in
+      for replica = 1 to group.Resoc_core.Group.n_replicas - 1 do
+        Alcotest.(check int64) (Printf.sprintf "%s replica %d agrees" name replica) (state 0)
+          (state replica)
+      done)
+    [ `Pbft; `Minbft; `A2m_bft; `Cheapbft; `Paxos; `Primary_backup ]
+
 (* --- Cross-protocol batching + pipelining (Batcher) --- *)
 
 let some_batching ?(window = 100) ?(max_batch = 8) ?(depth = 4) () =
@@ -714,6 +752,17 @@ let test_pb_happy_path () =
   Alcotest.(check int64) "backup synced" (Primary_backup.replica_state sys ~replica:0)
     (Primary_backup.replica_state sys ~replica:1)
 
+let test_pb_rejuvenation_needs_checkpointing () =
+  (* Without checkpointing a wiped replica has no state source. *)
+  let _, sys, _ = pb_setup () in
+  Alcotest.check_raises "set_offline"
+    (Invalid_argument "Primary_backup.set_offline: needs config.checkpoint") (fun () ->
+      Primary_backup.set_offline sys ~replica:1);
+  Alcotest.check_raises "set_online"
+    (Invalid_argument "Primary_backup.set_online: needs config.checkpoint") (fun () ->
+      Primary_backup.set_online sys ~replica:1);
+  Alcotest.(check bool) "still online" true (Primary_backup.replica_online sys ~replica:1)
+
 let test_pb_cheapest_messages () =
   (* Passive replication with one backup moves far fewer messages than any
      quorum protocol: 1 update per request (plus heartbeats). *)
@@ -812,6 +861,8 @@ let () =
           Alcotest.test_case "low message cost" `Quick test_pb_cheapest_messages;
           Alcotest.test_case "failover" `Quick test_pb_failover;
           Alcotest.test_case "failover window visible" `Quick test_pb_failover_window_visible;
+          Alcotest.test_case "rejuvenation needs checkpointing" `Quick
+            test_pb_rejuvenation_needs_checkpointing;
         ] );
       ( "batching",
         [
@@ -829,5 +880,7 @@ let () =
           Alcotest.test_case "primary-backup completes" `Quick test_pb_batching_completes;
           Alcotest.test_case "primary-backup exactly once" `Quick
             test_pb_batching_exactly_once;
+          Alcotest.test_case "watermark advance unparks batcher" `Quick
+            test_watermark_advance_unparks_batcher;
         ] );
     ]
