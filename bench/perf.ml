@@ -7,6 +7,11 @@
                 protocol logic, so the engine's queue discipline dominates;
    - [e3mesh]   the E3 kernel: a MinBFT group on a 4x4 mesh NoC serving a
                 client burst — heap + NoC link model + protocol timers;
+   - [e3meshchk] the identical kernel with the invariant checker on
+                (every replication, hybrid and NoC hook live). Same
+                events, so the e3meshchk:e3mesh events/sec ratio is the
+                checker's overhead on a host, self-normalising across
+                hosts;
    - [e2seu]    the E2 kernel: one SEU-campaign replicate (MinBFT over the
                 hub transport with SEU injection and periodic scrubbing);
    - [pbftkern] a PBFT group on the zero-cost hub transport serving a
@@ -63,6 +68,7 @@ module Paxos = Resoc_repl.Paxos
 module Soc = Resoc_core.Soc
 module Group = Resoc_core.Group
 module Generator = Resoc_workload.Generator
+module Check = Resoc_check.Check
 module Circuit = Resoc_hw.Circuit
 module Redundancy = Resoc_hw.Redundancy
 module Ecc = Resoc_hw.Ecc
@@ -96,19 +102,24 @@ let churn ~events () =
    replicas inside the measured region push each sample well past timer
    resolution and scheduler noise. *)
 
-let e3_mesh ~requests ~repeat () =
-  let total = ref 0 in
-  for _ = 1 to repeat do
-    let soc =
-      Soc.create { Soc.default_config with mesh_width = 4; mesh_height = 4; seed = 77L }
-    in
-    let spec = { Group.default_spec with kind = `Minbft; f = 1; n_clients = 2 } in
-    let group = Group.build (Soc.engine soc) (Group.On_soc soc) spec in
-    Generator.burst ~n_per_client:(requests / 2) ~n_clients:2 ~submit:group.Group.submit;
-    Engine.run ~until:2_000_000 (Soc.engine soc);
-    total := !total + Engine.events_processed (Soc.engine soc)
-  done;
-  !total
+let e3_mesh ~check ~requests ~repeat () =
+  if check then Check.enable ();
+  Fun.protect
+    ~finally:(fun () -> if check then Check.disable ())
+    (fun () ->
+      let total = ref 0 in
+      for _ = 1 to repeat do
+        if check then Check.begin_replicate ();
+        let soc =
+          Soc.create { Soc.default_config with mesh_width = 4; mesh_height = 4; seed = 77L }
+        in
+        let spec = { Group.default_spec with kind = `Minbft; f = 1; n_clients = 2 } in
+        let group = Group.build (Soc.engine soc) (Group.On_soc soc) spec in
+        Generator.burst ~n_per_client:(requests / 2) ~n_clients:2 ~submit:group.Group.submit;
+        Engine.run ~until:2_000_000 (Soc.engine soc);
+        total := !total + Engine.events_processed (Soc.engine soc)
+      done;
+      !total)
 
 let e2_seu_once ~horizon ~seed =
   let engine = Engine.create ~seed () in
@@ -358,7 +369,8 @@ let run ~quick ~json_dir ~progress () =
     if quick then
       [
         ("churn", churn ~events:400_000);
-        ("e3mesh", e3_mesh ~requests:100 ~repeat:4);
+        ("e3mesh", e3_mesh ~check:false ~requests:100 ~repeat:4);
+        ("e3meshchk", e3_mesh ~check:true ~requests:100 ~repeat:4);
         ("e2seu", e2_seu ~horizon:100_000 ~repeat:4);
         ("pbftkern", pbft_kern ~requests:100 ~repeat:6);
         ("paxoskern", paxos_kern ~requests:100 ~repeat:6);
@@ -372,7 +384,8 @@ let run ~quick ~json_dir ~progress () =
     else
       [
         ("churn", churn ~events:2_000_000);
-        ("e3mesh", e3_mesh ~requests:200 ~repeat:25);
+        ("e3mesh", e3_mesh ~check:false ~requests:200 ~repeat:25);
+        ("e3meshchk", e3_mesh ~check:true ~requests:200 ~repeat:25);
         ("e2seu", e2_seu ~horizon:250_000 ~repeat:25);
         ("pbftkern", pbft_kern ~requests:200 ~repeat:30);
         ("paxoskern", paxos_kern ~requests:200 ~repeat:30);

@@ -5,6 +5,10 @@
     creation time ([-1] when checking is disabled) and guards the hook call
     with a single [>= 0] branch, so a disabled checker costs one predictable
     branch and zero allocation, and BENCH output stays byte-identical.
+    The zero-allocation claim holds with the checker on too: state lives in
+    flat int tables that are built lazily and reused across replicates, so
+    once they have grown, a hook is an array index and a table probe and
+    allocates nothing (violations aside).
 
     State is per-domain ([Domain.DLS]), so campaigns can keep [--jobs n]
     parallelism with the checker enabled: each worker domain checks its own
@@ -64,7 +68,9 @@ val enable : unit -> unit
 val disable : unit -> unit
 
 val begin_replicate : unit -> unit
-(** Reset this domain's checker state. Call before every checked replicate. *)
+(** Reset this domain's checker state. Call before every checked replicate.
+    Ids handed out before the call are stale after it: hooks given one are
+    ignored, and never reach an object of the new replicate. *)
 
 val hooks_fired : unit -> int
 (** Number of hook invocations seen by this domain since [begin_replicate]

@@ -67,10 +67,14 @@ let primary_of ~epoch ~n = epoch mod n
 let is_primary (r : replica) = primary_of ~epoch:r.epoch ~n:r.core.n = r.core.id
 
 (* Both ends of an Update derive the same digest from its payload, so the
-   checker can compare primary and backup commits at one (epoch, seq) slot. *)
+   checker can compare primary and backup commits at one (epoch, seq) slot.
+   The tags are folded once, at module init. *)
+let update_tag = Hash.of_string "pb-update"
+let update_b_tag = Hash.of_string "pb-update-b"
+
 let update_digest ~state ~client ~rid ~result =
   Hash.combine_int
-    (Hash.combine (Hash.combine (Hash.of_string "pb-update") state) result)
+    (Hash.combine (Hash.combine update_tag state) result)
     ((client * 1_000_003) + rid)
 
 (* Batched updates: the digest folds every (client, rid, result) reply
@@ -80,7 +84,7 @@ let update_b_digest ~state ~(replies : (int * int * int64) list) =
   List.fold_left
     (fun acc (client, rid, result) ->
       Hash.combine_int (Hash.combine acc result) ((client * 1_000_003) + rid))
-    (Hash.combine (Hash.of_string "pb-update-b") state)
+    (Hash.combine update_b_tag state)
     replies
 
 (* Checkpoints here keep no agreement log to truncate and nothing waits on

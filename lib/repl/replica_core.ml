@@ -247,13 +247,17 @@ let[@inline] check_exec_window c ~seq =
       ~faulty:(Behavior.is_faulty c.behavior)
   | Some _ | None -> ()
 
+(* A direct walk, so reporting a batch allocates no closure. *)
+let rec check_batch_from c ~view ~seq ~len ~faulty pos = function
+  | [] -> ()
+  | (req : Types.request) :: rest ->
+    Check.batch_commit ~session:c.chk ~replica:c.id ~view ~seq ~pos ~len ~client:req.Types.client
+      ~rid:req.Types.rid ~faulty;
+    check_batch_from c ~view ~seq ~len ~faulty (pos + 1) rest
+
 let check_batch c ~view ~seq requests =
-  let len = List.length requests in
-  List.iteri
-    (fun pos (req : Types.request) ->
-      Check.batch_commit ~session:c.chk ~replica:c.id ~view ~seq ~pos ~len ~client:req.Types.client
-        ~rid:req.Types.rid ~faulty:(Behavior.is_faulty c.behavior))
-    requests
+  check_batch_from c ~view ~seq ~len:(List.length requests)
+    ~faulty:(Behavior.is_faulty c.behavior) 0 requests
 
 let[@inline] kick c = match c.batcher with Some b -> Batcher.kick b | None -> ()
 
