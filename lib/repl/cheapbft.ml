@@ -10,14 +10,7 @@ module Core = Replica_core
 
 type msg =
   | Request of Types.request
-  | Prepare of { view : int; request : Types.request; cert : Trinc.attestation }
   | Prepare_b of { view : int; requests : Types.request list; cert : Trinc.attestation }
-  | Commit of {
-      view : int;
-      request : Types.request;
-      primary_cert : Trinc.attestation;
-      cert : Trinc.attestation;
-    }
   | Commit_b of {
       view : int;
       requests : Types.request list;
@@ -65,16 +58,12 @@ let n_active_initial config = config.f + 1
 (* Pooled in the slot ring, reset in place per counter; commit votes are
    a quorum bitset. *)
 type entry = {
-  mutable request : Types.request;
-  mutable batch : Types.request list;  (* non-empty iff the counter agreed a batch *)
+  mutable batch : Types.request list;  (* the requests agreed at this counter *)
   mutable commit_votes : Quorum.t;
   mutable executed : bool;
 }
 
-let no_request : Types.request = { Types.client = -1; rid = -1; payload = 0L }
-
-let fresh_entry _ =
-  { request = no_request; batch = []; commit_votes = Quorum.empty; executed = false }
+let fresh_entry _ = { batch = []; commit_votes = Quorum.empty; executed = false }
 
 type replica = {
   core : msg Core.t;
@@ -101,20 +90,6 @@ type replica = {
 
 type t = { replicas : replica array; clients : msg Client.t array; shared_stats : Stats.t }
 
-let message_name = function
-  | Request _ -> "request"
-  | Prepare _ -> "prepare"
-  | Prepare_b _ -> "prepare-batch"
-  | Commit _ -> "commit"
-  | Commit_b _ -> "commit-batch"
-  | Update _ -> "update"
-  | Activate _ -> "activate"
-  | New_view _ -> "new-view"
-  | Reply _ -> "reply"
-  | Checkpoint_vote _ -> "checkpoint-vote"
-  | Fetch_state _ -> "fetch-state"
-  | State_chunk _ -> "state-chunk"
-
 let primary_of ~view ~n = view mod n
 
 let is_primary (r : replica) = primary_of ~view:r.view ~n:r.core.n = r.core.id
@@ -132,27 +107,13 @@ let passive_ids (r : replica) = if r.transitioned then empty_ids else r.initial_
    transition: f+1 of 2f+1. Either way the count is f+1. *)
 let commit_quorum (r : replica) = r.f + 1
 
-(* Any replica that sees a request starve votes to transition/rotate. *)
-let start_vc_timer r digest =
-  let c = r.core in
-  if not (Digest_map.mem c.timers digest) then
-    Digest_map.set c.timers digest
-      (Engine.schedule c.engine ~delay:r.config.vc_timeout (fun () ->
-           let c = r.core in
-           Digest_map.remove c.timers digest;
-           if Digest_map.mem c.pending digest then begin
-             (* Escalate past views whose primary never answered: repeated
-                timeouts propose ever-higher views until a live primary is
-                reached. *)
-             let new_view = max r.view r.vc_voted + 1 in
-             r.vc_voted <- new_view;
-             Core.broadcast c ~to_:c.all_ids (Activate { new_view })
-           end))
-
-(* One agreed counter carries one request or (batching on) a whole batch;
-   the attestation binds one digest either way. *)
-let entry_digest (e : entry) =
-  if e.batch != [] then Types.batch_digest e.batch else Types.request_digest e.request
+(* Any replica that sees a request starve votes to transition/rotate,
+   escalating past views whose primary never answered: repeated timeouts
+   propose ever-higher views until a live primary is reached. *)
+let escalate r () =
+  let new_view = max r.view r.vc_voted + 1 in
+  r.vc_voted <- new_view;
+  Core.broadcast r.core ~to_:r.core.all_ids (Activate { new_view })
 
 let rec try_execute r =
   let c = r.core in
@@ -167,13 +128,13 @@ let rec try_execute r =
       Core.check_exec_window c ~seq:next_i;
       if c.chk >= 0 then begin
         Check.commit ~session:c.chk ~replica:c.id ~view:r.view ~seq:next_i
-          ~digest:(entry_digest e)
+          ~digest:(Types.batch_digest e.batch)
           ~signers:(Quorum.count e.commit_votes)
           ~quorum:(commit_quorum r)
           ~faulty:(Behavior.is_faulty c.behavior);
-        if e.batch != [] then Core.check_batch c ~view:r.view ~seq:next_i e.batch
+        if Core.batching c then Core.check_batch c ~view:r.view ~seq:next_i e.batch
       end;
-      if e.batch != [] then List.iter (Core.exec_one c) e.batch else Core.exec_one c e.request;
+      Core.exec_all c e.batch;
       (* Checkpoint certificates form among the executing (active) set. *)
       if Core.after_exec c r.log ~seq:next_i ~vote_to:(active_others r) then try_execute r;
       try_execute r
@@ -183,10 +144,7 @@ let rec try_execute r =
 (* --- certified state transfer --- *)
 
 (* An executed counter's requests; [] stops the served log suffix. *)
-let served_payload e =
-  if e.executed && (e.request != no_request || e.batch != []) then
-    if e.batch != [] then e.batch else [ e.request ]
-  else []
+let served_payload e = if e.executed then e.batch else []
 
 (* Install a completed, verified transfer and rejoin in the role the
    serving view implies: after a transition everyone is active, before it
@@ -234,21 +192,9 @@ let continuity_ok r ~signer ~counter =
       r.gap_drops <- r.gap_drops + 1;
       false
 
-let note_entry r ~counter ~request ~voter =
+let note_entry r ~counter ~requests ~voter =
   let entry, fresh = Slot_ring.bind r.log (Int64.to_int counter) in
   if fresh then begin
-    entry.request <- request;
-    entry.batch <- [];
-    entry.commit_votes <- Quorum.empty;
-    entry.executed <- false
-  end;
-  entry.commit_votes <- Quorum.add entry.commit_votes voter;
-  entry
-
-let note_entry_b r ~counter ~requests ~voter =
-  let entry, fresh = Slot_ring.bind r.log (Int64.to_int counter) in
-  if fresh then begin
-    entry.request <- no_request;
     entry.batch <- requests;
     entry.commit_votes <- Quorum.empty;
     entry.executed <- false
@@ -256,50 +202,33 @@ let note_entry_b r ~counter ~requests ~voter =
   entry.commit_votes <- Quorum.add entry.commit_votes voter;
   entry
 
-let send_own_commit r ~view ~request ~(primary_cert : Trinc.attestation) =
-  let digest = Types.request_digest request in
-  match make_cert r digest with
-  | Error _ -> ()
-  | Ok cert ->
-    ignore (note_entry r ~counter:primary_cert.Trinc.current ~request ~voter:r.core.id);
-    Core.broadcast r.core ~to_:(active_others r) (Commit { view; request; primary_cert; cert });
-    try_execute r
-
-let send_own_commit_b r ~view ~requests ~(primary_cert : Trinc.attestation) =
+let send_own_commit r ~view ~requests ~(primary_cert : Trinc.attestation) =
   let digest = Types.batch_digest requests in
   match make_cert r digest with
   | Error _ -> ()
   | Ok cert ->
-    ignore (note_entry_b r ~counter:primary_cert.Trinc.current ~requests ~voter:r.core.id);
+    ignore (note_entry r ~counter:primary_cert.Trinc.current ~requests ~voter:r.core.id);
     Core.broadcast r.core ~to_:(active_others r) (Commit_b { view; requests; primary_cert; cert });
     try_execute r
 
-let order_request r (request : Types.request) =
-  let digest = Types.request_digest request in
-  if not (Digest_map.mem r.ordered digest) then
-    match make_cert r digest with
-    | Error _ -> ()
-    | Ok cert ->
-      Digest_map.set r.ordered digest 0;
-      ignore (note_entry r ~counter:cert.Trinc.current ~request ~voter:r.core.id);
-      Core.broadcast r.core ~to_:(active_others r) (Prepare { view = r.view; request; cert });
-      try_execute r
-
-(* Batched ordering: one TrInc attestation covers the whole list (the
-   counter advances once per batch), one Prepare_b flight per active
-   peer. [Batcher.seal] callers never hand over an empty or
-   already-ordered list (the [on_request] dedup guard). *)
+(* One TrInc attestation covers the whole list (the counter advances once
+   per instance), one Prepare_b flight per active peer. Callers never
+   hand over an empty or already-ordered list (the batcher's dedup guard
+   or [order_request]). *)
 let order_batch r (requests : Types.request list) =
-  if requests <> [] then
+  if requests != [] then
     match make_cert r (Types.batch_digest requests) with
     | Error _ -> ()
     | Ok cert ->
-      List.iter
-        (fun (req : Types.request) -> Digest_map.set r.ordered (Types.request_digest req) 0)
-        requests;
-      ignore (note_entry_b r ~counter:cert.Trinc.current ~requests ~voter:r.core.id);
+      Core.mark_ordered r.ordered ~seq:0 requests;
+      ignore (note_entry r ~counter:cert.Trinc.current ~requests ~voter:r.core.id);
       Core.broadcast r.core ~to_:(active_others r) (Prepare_b { view = r.view; requests; cert });
       try_execute r
+
+(* An unbatched request (ingress or view-change re-proposal) is a batch of
+   one. *)
+let order_request r (request : Types.request) =
+  if not (Digest_map.mem r.ordered (Types.request_digest request)) then order_batch r [ request ]
 
 (* Actives ship attested state to the passive set periodically; one sender
    (the primary) suffices in the fault-free case. *)
@@ -335,7 +264,7 @@ let adopt_new_view r ~view ~base ~state ~rid_table =
   Core.install_rid_table c rid_table;
   Core.cancel_timers c;
   Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true;
-  Digest_map.iter (fun digest _ -> start_vc_timer r digest) c.pending
+  Core.watch_all c ~delay:r.config.vc_timeout
 
 let become_primary r ~view =
   let c = r.core in
@@ -391,7 +320,7 @@ let on_request r (request : Types.request) =
     (* Every replica — the primary included — watches the request: in the
        all-active configuration a single silent active denies the quorum,
        and someone must call for the transition. *)
-    start_vc_timer r digest;
+    Core.watch c ~delay:r.config.vc_timeout digest;
     if is_primary r && r.is_active then (
       match c.batcher with
       | Some b ->
@@ -402,72 +331,34 @@ let on_request r (request : Types.request) =
     else Core.send c ~dst:(primary_of ~view:r.view ~n:c.n) (Request request)
   end
 
-let on_prepare r ~src ~view ~request ~(cert : Trinc.attestation) =
+let on_prepare r ~src ~view ~requests ~(cert : Trinc.attestation) =
   if view = r.view && r.is_active && src = primary_of ~view ~n:r.core.n
-     && cert.Trinc.signer = src
-  then begin
-    let digest = Types.request_digest request in
-    if verify_cert r ~digest cert && continuity_ok r ~signer:src ~counter:cert.Trinc.current
-    then begin
-      Digest_map.set r.core.pending digest request;
-      ignore (note_entry r ~counter:cert.Trinc.current ~request ~voter:src);
-      send_own_commit r ~view ~request ~primary_cert:cert
-    end
-    else if Digest_map.mem r.core.pending digest then start_vc_timer r digest
-  end
-
-let on_prepare_b r ~src ~view ~requests ~(cert : Trinc.attestation) =
-  if view = r.view && r.is_active && src = primary_of ~view ~n:r.core.n
-     && cert.Trinc.signer = src && requests <> []
+     && cert.Trinc.signer = src && requests != []
   then begin
     let digest = Types.batch_digest requests in
     if verify_cert r ~digest cert && continuity_ok r ~signer:src ~counter:cert.Trinc.current
     then begin
-      List.iter
-        (fun (req : Types.request) -> Digest_map.set r.core.pending (Types.request_digest req) req)
-        requests;
-      ignore (note_entry_b r ~counter:cert.Trinc.current ~requests ~voter:src);
-      send_own_commit_b r ~view ~requests ~primary_cert:cert
+      Core.mark_pending r.core requests;
+      ignore (note_entry r ~counter:cert.Trinc.current ~requests ~voter:src);
+      send_own_commit r ~view ~requests ~primary_cert:cert
     end
-    else
-      List.iter
-        (fun (req : Types.request) ->
-          let d = Types.request_digest req in
-          if Digest_map.mem r.core.pending d then start_vc_timer r d)
-        requests
+    else Core.watch_pending r.core ~delay:r.config.vc_timeout requests
   end
 
-let on_commit r ~src ~view ~request ~(primary_cert : Trinc.attestation)
+let on_commit r ~src ~view ~requests ~(primary_cert : Trinc.attestation)
     ~(cert : Trinc.attestation) =
   if view = r.view && r.is_active && cert.Trinc.signer = src
      && primary_cert.Trinc.signer = primary_of ~view ~n:r.core.n
-  then begin
-    let digest = Types.request_digest request in
-    if verify_cert r ~digest primary_cert && verify_cert r ~digest cert
-       && continuity_ok r ~signer:src ~counter:cert.Trinc.current
-    then begin
-      ignore
-        (note_entry r ~counter:primary_cert.Trinc.current ~request
-           ~voter:primary_cert.Trinc.signer);
-      ignore (note_entry r ~counter:primary_cert.Trinc.current ~request ~voter:src);
-      try_execute r
-    end
-  end
-
-let on_commit_b r ~src ~view ~requests ~(primary_cert : Trinc.attestation)
-    ~(cert : Trinc.attestation) =
-  if view = r.view && r.is_active && cert.Trinc.signer = src
-     && primary_cert.Trinc.signer = primary_of ~view ~n:r.core.n
-     && requests <> []
+     && requests != []
   then begin
     let digest = Types.batch_digest requests in
     if verify_cert r ~digest primary_cert && verify_cert r ~digest cert
        && continuity_ok r ~signer:src ~counter:cert.Trinc.current
     then begin
       ignore
-        (note_entry_b r ~counter:primary_cert.Trinc.current ~requests
+        (note_entry r ~counter:primary_cert.Trinc.current ~requests
            ~voter:primary_cert.Trinc.signer);
-      ignore (note_entry_b r ~counter:primary_cert.Trinc.current ~requests ~voter:src);
+      ignore (note_entry r ~counter:primary_cert.Trinc.current ~requests ~voter:src);
       try_execute r
     end
   end
@@ -500,12 +391,9 @@ let handle (r : replica) ~src msg =
   if Core.alive c then
     match msg with
     | Request request -> on_request r request
-    | Prepare { view; request; cert } -> on_prepare r ~src ~view ~request ~cert
-    | Prepare_b { view; requests; cert } -> on_prepare_b r ~src ~view ~requests ~cert
-    | Commit { view; request; primary_cert; cert } ->
-      on_commit r ~src ~view ~request ~primary_cert ~cert
+    | Prepare_b { view; requests; cert } -> on_prepare r ~src ~view ~requests ~cert
     | Commit_b { view; requests; primary_cert; cert } ->
-      on_commit_b r ~src ~view ~requests ~primary_cert ~cert
+      on_commit r ~src ~view ~requests ~primary_cert ~cert
     | Update { view; upto; state; rid_table } -> on_update r ~view ~upto ~state ~rid_table
     | Activate { new_view } -> on_activate r ~src ~new_view
     | New_view { view; base; state; rid_table } -> on_new_view r ~src ~view ~base ~state ~rid_table
@@ -569,11 +457,13 @@ let make_replica engine fabric config keychain stats ~id ~behavior ~chk =
     repeat_counts = Hashtbl.create 8;
   }
 
-(* Built after the replica record so the pipeline gate can read the live
-   sequencing state: the TrInc counter is the sequence number here, so
-   in-flight instances = attested counter − execution frontier, and no
-   attestation may step past the checkpoint high watermark. *)
-let attach_batcher (r : replica) =
+(* Built after the replica record so the escalation and the pipeline gate
+   can read the live sequencing state: the TrInc counter is the sequence
+   number here, so in-flight instances = attested counter − execution
+   frontier, and no attestation may step past the checkpoint high
+   watermark. *)
+let attach (r : replica) =
+  r.core.escalate <- escalate r;
   match r.config.batching with
   | Some b when Batcher.active b ->
     let attested () = Int64.to_int (fst (Register.read (Trinc.counter_register r.trinc))) in
@@ -601,7 +491,7 @@ let start engine fabric config ?behaviors () =
   in
   Array.iter
     (fun r ->
-      attach_batcher r;
+      attach r;
       fabric.Transport.set_handler r.core.id (fun ~src msg -> handle r ~src msg);
       Engine.every engine ~period:config.update_period (fun () -> ship_updates r))
     replicas;

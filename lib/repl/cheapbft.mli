@@ -20,17 +20,10 @@ module Trinc = Resoc_hybrid.Trinc
 
 type msg =
   | Request of Types.request
-  | Prepare of { view : int; request : Types.request; cert : Trinc.attestation }
   | Prepare_b of { view : int; requests : Types.request list; cert : Trinc.attestation }
-      (** Batched ordering ([config.batching]): one attestation — and one
-          TrInc counter step — covers the whole list; [cert] binds
-          [Types.batch_digest requests]. *)
-  | Commit of {
-      view : int;
-      request : Types.request;
-      primary_cert : Trinc.attestation;
-      cert : Trinc.attestation;
-    }
+      (** Ordering: one attestation — and one TrInc counter step — covers
+          the whole list; [cert] binds [Types.batch_digest requests]. An
+          unbatched request is a list of one. *)
   | Commit_b of {
       view : int;
       requests : Types.request list;
@@ -67,8 +60,8 @@ type config = {
           (the default) = per-destination unicast. *)
   batching : Types.batching option;
       (** Primary-side request batching + agreement pipelining
-          ({!Batcher}); [None] (the default) keeps the legacy
-          one-instance-per-request path byte-identical. *)
+          ({!Batcher}); [None] (the default) orders each request as an
+          instance of its own, a batch of one. *)
 }
 
 val default_config : config
@@ -107,5 +100,3 @@ val set_online : t -> replica:int -> unit
     certified checkpoint plus log suffix from the active replicas.
     Requires [config.checkpoint = Some _]; raises [Invalid_argument]
     otherwise. *)
-
-val message_name : msg -> string

@@ -81,7 +81,6 @@ module type S = sig
   val replica_online : t -> replica:int -> bool
   val set_offline : t -> replica:int -> unit
   val set_online : t -> replica:int -> unit
-  val message_name : msg -> string
 end
 
 module Make (H : HYBRID) = struct
@@ -167,34 +166,16 @@ module Make (H : HYBRID) = struct
 
   type t = { replicas : replica array; clients : msg Client.t array; shared_stats : Stats.t }
 
-  let message_name = function
-    | Request _ -> "request"
-    | Prepare _ -> "prepare"
-    | Commit _ -> "commit"
-    | Reply _ -> "reply"
-    | Req_view_change _ -> "req-view-change"
-    | New_view _ -> "new-view"
-    | Checkpoint_vote _ -> "checkpoint-vote"
-    | Fetch_state _ -> "fetch-state"
-    | State_chunk _ -> "state-chunk"
-
   let primary_of ~view ~n = view mod n
 
   let is_primary (r : replica) = primary_of ~view:r.view ~n:r.core.n = r.core.id
 
-  let start_vc_timer r digest =
-    let c = r.core in
-    if not (Digest_map.mem c.timers digest) then
-      Digest_map.set c.timers digest
-        (Engine.schedule c.engine ~delay:r.config.vc_timeout (fun () ->
-             let c = r.core in
-             Digest_map.remove c.timers digest;
-             if c.online && Digest_map.mem c.pending digest then begin
-               (* Escalate past views whose primary never answered. *)
-               let new_view = max r.view r.vc_voted + 1 in
-               r.vc_voted <- new_view;
-               Core.broadcast c ~to_:c.all_ids (Req_view_change { new_view })
-             end))
+  (* A starved request: escalate past views whose primary never
+     answered. *)
+  let escalate r () =
+    let new_view = max r.view r.vc_voted + 1 in
+    r.vc_voted <- new_view;
+    Core.broadcast r.core ~to_:r.core.all_ids (Req_view_change { new_view })
 
   (* One certificate covers a whole batch: the digest chains the requests in
      order, so verifiers agree on both membership and sequence. The shared
@@ -398,7 +379,7 @@ module Make (H : HYBRID) = struct
       Core.cancel_recover_timer c;
       Checkpoint.rebase cp ~seq:(Int64.to_int base)
     | None -> ());
-    Digest_map.iter (fun digest _ -> start_vc_timer r digest) c.pending
+    Core.watch_all c ~delay:r.config.vc_timeout
 
   let become_primary r ~view =
     let c = r.core in
@@ -463,7 +444,7 @@ module Make (H : HYBRID) = struct
         | None -> order_request r request)
       else begin
         Core.send c ~dst:(primary_of ~view:r.view ~n:c.n) (Request request);
-        start_vc_timer r digest
+        Core.watch c ~delay:r.config.vc_timeout digest
       end
     end
 
@@ -475,20 +456,14 @@ module Make (H : HYBRID) = struct
       if verify_cert r ~digest:(batch_digest requests) cert
          && continuity_ok r ~signer:src ~counter:(H.cert_counter cert)
       then begin
-        List.iter
-          (fun req -> Digest_map.set c.pending (Types.request_digest req) req)
-          requests;
+        Core.mark_pending c requests;
         ignore (note_entry r ~counter:(H.cert_counter cert) ~requests ~voter:src);
         send_own_commit r ~view ~requests ~primary_cert:cert
       end
       else
         (* Bad or gapped certificate from the primary: keep pressure on the
            timers of whichever requests we already know. *)
-        List.iter
-          (fun req ->
-            let digest = Types.request_digest req in
-            if Digest_map.mem c.pending digest then start_vc_timer r digest)
-          requests
+        Core.watch_pending c ~delay:r.config.vc_timeout requests
     end
 
   let on_commit r ~src ~view ~requests ~primary_cert ~cert =
@@ -585,11 +560,12 @@ module Make (H : HYBRID) = struct
       obs_vc;
     }
 
-  (* Built after the replica record so the pipeline gate can read the live
-     sequencing state: in-flight instances = the hybrid's attested counter
-     minus the execution frontier, and no certificate may step past the
-     checkpoint high watermark. *)
-  let attach_batcher (r : replica) =
+  (* Built after the replica record so the escalation and the pipeline
+     gate can read the live sequencing state: in-flight instances = the
+     hybrid's attested counter minus the execution frontier, and no
+     certificate may step past the checkpoint high watermark. *)
+  let attach (r : replica) =
+    r.core.escalate <- escalate r;
     match r.config.batching with
     | Some b when Batcher.active b ->
       let attested () = Int64.to_int (H.current_counter r.hybrid_instance) in
@@ -617,7 +593,7 @@ module Make (H : HYBRID) = struct
     in
     Array.iter
       (fun r ->
-        attach_batcher r;
+        attach r;
         fabric.Transport.set_handler r.core.id (fun ~src msg -> handle r ~src msg))
       replicas;
     let clients =

@@ -6,7 +6,6 @@ module Core = Replica_core
 
 type msg =
   | Request of Types.request
-  | Accept of { term : int; seq : int; request : Types.request }
   | Accept_b of { term : int; seq : int; requests : Types.request list }
   | Accepted of { term : int; seq : int }
   | Commit of { term : int; seq : int }
@@ -44,17 +43,13 @@ let n_replicas config = (2 * config.f) + 1
    ack set is a quorum bitset, so an entry costs no allocation after the
    ring warms up. *)
 type entry = {
-  mutable request : Types.request;
-  mutable batch : Types.request list;  (* non-empty iff the slot agreed a batch *)
+  mutable batch : Types.request list;  (* the requests agreed at this slot *)
   mutable acks : Quorum.t;
   mutable committed : bool;
   mutable executed : bool;
 }
 
-let no_request : Types.request = { Types.client = -1; rid = -1; payload = 0L }
-
-let fresh_entry _ =
-  { request = no_request; batch = []; acks = Quorum.empty; committed = false; executed = false }
+let fresh_entry _ = { batch = []; acks = Quorum.empty; committed = false; executed = false }
 
 type replica = {
   core : msg Core.t;
@@ -71,19 +66,6 @@ type replica = {
 
 type t = { replicas : replica array; clients : msg Client.t array; shared_stats : Stats.t }
 
-let message_name = function
-  | Request _ -> "request"
-  | Accept _ -> "accept"
-  | Accept_b _ -> "accept-batch"
-  | Accepted _ -> "accepted"
-  | Commit _ -> "commit"
-  | Reply _ -> "reply"
-  | Term_change _ -> "term-change"
-  | New_term _ -> "new-term"
-  | Checkpoint_vote _ -> "checkpoint-vote"
-  | Fetch_state _ -> "fetch-state"
-  | State_chunk _ -> "state-chunk"
-
 let leader_of ~term ~n = term mod n
 
 let is_leader (r : replica) = leader_of ~term:r.term ~n:r.core.n = r.core.id
@@ -93,24 +75,11 @@ let is_leader (r : replica) = leader_of ~term:r.term ~n:r.core.n = r.core.id
    no notion of them), except Corrupt_execution which corrupts replies —
    unchecked by crash clients, the vulnerability E4 makes visible. *)
 
-let start_election_timer r digest =
-  let c = r.core in
-  if not (Digest_map.mem c.timers digest) then
-    Digest_map.set c.timers digest
-      (Engine.schedule c.engine ~delay:r.config.election_timeout (fun () ->
-           let c = r.core in
-           Digest_map.remove c.timers digest;
-           if c.online && Digest_map.mem c.pending digest then begin
-             (* Escalate past terms whose leader never answered. *)
-             let new_term = max r.term r.voted + 1 in
-             r.voted <- new_term;
-             Core.broadcast c ~to_:c.all_ids (Term_change { new_term; last_exec = r.last_exec })
-           end))
-
-(* One agreed slot carries one request or (batching on) a whole batch;
-   agreement keys on one digest either way. *)
-let entry_digest (e : entry) =
-  if e.batch != [] then Types.batch_digest e.batch else Types.request_digest e.request
+(* A starved request: escalate past terms whose leader never answered. *)
+let escalate r () =
+  let new_term = max r.term r.voted + 1 in
+  r.voted <- new_term;
+  Core.broadcast r.core ~to_:r.core.all_ids (Term_change { new_term; last_exec = r.last_exec })
 
 let rec try_execute r =
   let c = r.core in
@@ -126,11 +95,11 @@ let rec try_execute r =
         (* [-1] signers: followers apply leader decisions without a local
            certificate; the leader's quorum is checked in [on_accepted]. *)
         Check.commit ~session:c.chk ~replica:c.id ~view:r.term ~seq:r.last_exec
-          ~digest:(entry_digest e) ~signers:(-1) ~quorum:(r.f + 1)
+          ~digest:(Types.batch_digest e.batch) ~signers:(-1) ~quorum:(r.f + 1)
           ~faulty:(Behavior.is_faulty c.behavior);
-        if e.batch != [] then Core.check_batch c ~view:r.term ~seq:next e.batch
+        if Core.batching c then Core.check_batch c ~view:r.term ~seq:next e.batch
       end;
-      if e.batch != [] then List.iter (Core.exec_one c) e.batch else Core.exec_one c e.request;
+      Core.exec_all c e.batch;
       if Core.after_exec c r.log ~seq:next ~vote_to:c.peer_ids then try_execute r;
       try_execute r
     end
@@ -139,10 +108,7 @@ let rec try_execute r =
 (* --- certified state transfer --- *)
 
 (* An executed slot's requests; [] stops the served log suffix. *)
-let served_payload e =
-  if e.executed && (e.request != no_request || e.batch != []) then
-    if e.batch != [] then e.batch else [ e.request ]
-  else []
+let served_payload e = if e.executed then e.batch else []
 
 let install_transfer (r : replica) (comp : Checkpoint.completion) =
   r.term <- max r.term comp.Checkpoint.c_view;
@@ -153,36 +119,16 @@ let install_transfer (r : replica) (comp : Checkpoint.completion) =
 
 (* --- ordering --- *)
 
-let order_request r (request : Types.request) =
-  let digest = Types.request_digest request in
-  if not (Digest_map.mem r.ordered digest) then begin
-    let seq = r.next_seq in
-    r.next_seq <- r.next_seq + 1;
-    Digest_map.set r.ordered digest seq;
-    let e, fresh = Slot_ring.bind r.log seq in
-    if fresh then begin
-      e.request <- request;
-      e.acks <- Quorum.empty;
-      e.committed <- false;
-      e.executed <- false
-    end;
-    e.acks <- Quorum.add e.acks r.core.id;
-    Core.broadcast r.core ~to_:r.core.peer_ids (Accept { term = r.term; seq; request })
-  end
-
-(* Batched ordering: the whole list shares one slot, one Accept_b flight
-   per follower, one ack round. [Batcher.seal] callers never hand over an
-   empty or already-ordered list (the [on_request] dedup guard). *)
+(* The whole list shares one slot, one Accept_b flight per follower, one
+   ack round. Callers never hand over an empty or already-ordered list
+   (the batcher's dedup guard or [order_request]). *)
 let order_batch r (requests : Types.request list) =
-  if requests <> [] then begin
+  if requests != [] then begin
     let seq = r.next_seq in
     r.next_seq <- r.next_seq + 1;
-    List.iter
-      (fun (req : Types.request) -> Digest_map.set r.ordered (Types.request_digest req) seq)
-      requests;
+    Core.mark_ordered r.ordered ~seq requests;
     let e, fresh = Slot_ring.bind r.log seq in
     if fresh then begin
-      e.request <- no_request;
       e.batch <- requests;
       e.acks <- Quorum.empty;
       e.committed <- false;
@@ -192,6 +138,11 @@ let order_batch r (requests : Types.request list) =
     e.acks <- Quorum.add e.acks r.core.id;
     Core.broadcast r.core ~to_:r.core.peer_ids (Accept_b { term = r.term; seq; requests })
   end
+
+(* An unbatched request (ingress or term-change re-proposal) is a batch of
+   one. *)
+let order_request r (request : Types.request) =
+  if not (Digest_map.mem r.ordered (Types.request_digest request)) then order_batch r [ request ]
 
 (* --- term changes --- *)
 
@@ -212,7 +163,7 @@ let adopt_new_term r ~term ~start_seq ~state ~rid_table =
   r.next_seq <- start_seq;
   Core.install_rid_table c rid_table;
   Core.cancel_timers c;
-  Digest_map.iter (fun digest _ -> start_election_timer r digest) c.pending
+  Core.watch_all c ~delay:r.config.election_timeout
 
 let become_leader r ~term ~start_seq =
   let c = r.core in
@@ -258,32 +209,16 @@ let on_request r (request : Types.request) =
       | None -> order_request r request)
     else begin
       Core.send c ~dst:(leader_of ~term:r.term ~n:c.n) (Request request);
-      start_election_timer r digest
+      Core.watch c ~delay:r.config.election_timeout digest
     end
   end
 
-let on_accept r ~src ~term ~seq ~request =
-  if term = r.term && src = leader_of ~term ~n:r.core.n && not (is_leader r) then begin
-    Digest_map.set r.core.pending (Types.request_digest request) request;
-    let e, fresh = Slot_ring.bind r.log seq in
-    if fresh then begin
-      e.request <- request;
-      e.acks <- Quorum.empty;
-      e.committed <- false;
-      e.executed <- false
-    end;
-    Core.send r.core ~dst:src (Accepted { term; seq })
-  end
-
-let on_accept_b r ~src ~term ~seq ~requests =
-  if term = r.term && src = leader_of ~term ~n:r.core.n && (not (is_leader r)) && requests <> []
+let on_accept r ~src ~term ~seq ~requests =
+  if term = r.term && src = leader_of ~term ~n:r.core.n && (not (is_leader r)) && requests != []
   then begin
-    List.iter
-      (fun (req : Types.request) -> Digest_map.set r.core.pending (Types.request_digest req) req)
-      requests;
+    Core.mark_pending r.core requests;
     let e, fresh = Slot_ring.bind r.log seq in
     if fresh then begin
-      e.request <- no_request;
       e.batch <- requests;
       e.acks <- Quorum.empty;
       e.committed <- false;
@@ -303,7 +238,8 @@ let on_accepted r ~src ~term ~seq =
           let c = r.core in
           e.committed <- true;
           if c.chk >= 0 then
-            Check.commit ~session:c.chk ~replica:c.id ~view:r.term ~seq ~digest:(entry_digest e)
+            Check.commit ~session:c.chk ~replica:c.id ~view:r.term ~seq
+              ~digest:(Types.batch_digest e.batch)
               ~signers:(Quorum.count e.acks)
               ~quorum:(r.f + 1)
               ~faulty:(Behavior.is_faulty c.behavior);
@@ -332,8 +268,7 @@ let handle (r : replica) ~src msg =
   if Core.alive c then
     match msg with
     | Request request -> on_request r request
-    | Accept { term; seq; request } -> on_accept r ~src ~term ~seq ~request
-    | Accept_b { term; seq; requests } -> on_accept_b r ~src ~term ~seq ~requests
+    | Accept_b { term; seq; requests } -> on_accept r ~src ~term ~seq ~requests
     | Accepted { term; seq } -> on_accepted r ~src ~term ~seq
     | Commit { term; seq } -> on_commit r ~src ~term ~seq
     | Term_change { new_term; last_exec } -> on_term_change r ~src ~new_term ~last_exec
@@ -377,11 +312,12 @@ let make_replica engine fabric config stats ~id ~behavior ~chk =
     voted = 0;
   }
 
-(* Built after the replica record so the pipeline gate can read the live
-   sequencing state: at most [pipeline_depth] agreement instances between
-   the next proposal and the execution frontier, and never a proposal
-   past the checkpoint high watermark. *)
-let attach_batcher (r : replica) =
+(* Built after the replica record so the escalation and the pipeline gate
+   can read the live sequencing state: at most [pipeline_depth] agreement
+   instances between the next proposal and the execution frontier, and
+   never a proposal past the checkpoint high watermark. *)
+let attach (r : replica) =
+  r.core.escalate <- escalate r;
   match r.config.batching with
   | Some b when Batcher.active b ->
     r.core.batcher <-
@@ -405,7 +341,7 @@ let start engine fabric config ?behaviors () =
   in
   Array.iter
     (fun r ->
-      attach_batcher r;
+      attach r;
       fabric.Transport.set_handler r.core.id (fun ~src msg -> handle r ~src msg))
     replicas;
   let clients =

@@ -9,11 +9,10 @@ module Core = Replica_core
 
 type msg =
   | Request of Types.request
-  | Pre_prepare of { view : int; seq : int; digest : Hash.t; request : Types.request }
   | Pre_prepare_b of { view : int; seq : int; digest : Hash.t; requests : Types.request list }
-      (* Batched ordering: one instance covers the whole request list
-         (digest = Types.batch_digest). One NoC flight per destination
-         carries every payload; Prepare/Commit are unchanged. *)
+      (* One instance covers the whole request list (digest =
+         Types.batch_digest); an unbatched request is a list of one. One
+         NoC flight per destination carries every payload. *)
   | Prepare of { view : int; seq : int; digest : Hash.t }
   | Commit of { view : int; seq : int; digest : Hash.t }
   | Reply of Types.reply
@@ -47,14 +46,12 @@ let default_config =
 let n_replicas config = (3 * config.f) + 1
 
 (* Entries are pooled in the slot ring and reset in place when a new
-   sequence number claims the slot — every field is mutable and the
-   absent request is a physical sentinel, so steady-state agreement
-   allocates nothing per slot. *)
+   sequence number claims the slot — every field is mutable, so
+   steady-state agreement allocates nothing per slot. *)
 type entry = {
   mutable e_view : int;
   mutable digest : Hash.t;
-  mutable request : Types.request;  (* == no_request when unknown *)
-  mutable batch : Types.request list;  (* batched instance payloads; [] = unbatched *)
+  mutable batch : Types.request list;  (* the instance's requests; [] until the pre-prepare *)
   mutable prepares : Quorum.t;
   mutable commits : Quorum.t;
   mutable sent_commit : bool;
@@ -62,13 +59,10 @@ type entry = {
   mutable executed : bool;
 }
 
-let no_request : Types.request = { Types.client = -1; rid = -1; payload = 0L }
-
 let fresh_entry _ =
   {
     e_view = -1;
     digest = Hash.zero;
-    request = no_request;
     batch = [];
     prepares = Quorum.empty;
     commits = Quorum.empty;
@@ -96,19 +90,6 @@ type replica = {
 
 type t = { replicas : replica array; clients : msg Client.t array; shared_stats : Stats.t }
 
-let message_name = function
-  | Request _ -> "request"
-  | Pre_prepare _ -> "pre-prepare"
-  | Pre_prepare_b _ -> "pre-prepare-batch"
-  | Prepare _ -> "prepare"
-  | Commit _ -> "commit"
-  | Reply _ -> "reply"
-  | View_change _ -> "view-change"
-  | New_view _ -> "new-view"
-  | Checkpoint_vote _ -> "checkpoint-vote"
-  | Fetch_state _ -> "fetch-state"
-  | State_chunk _ -> "state-chunk"
-
 let primary_of ~view ~n = view mod n
 
 let is_primary (r : replica) = primary_of ~view:r.view ~n:r.core.n = r.core.id
@@ -121,7 +102,6 @@ let entry_for r ~view ~seq ~digest =
   if fresh then begin
     e.e_view <- view;
     e.digest <- digest;
-    e.request <- no_request;
     e.batch <- [];
     e.prepares <- Quorum.empty;
     e.commits <- Quorum.empty;
@@ -137,10 +117,9 @@ let entry_for r ~view ~seq ~digest =
   else if e.e_view = view then e
   else null_entry  (* stale view entry at this slot; ignore the message *)
 
-(* An entry carries its payload once the Pre_prepare (single or batched)
-   arrived; until then Prepare/Commit quorums may gather but nothing can
-   commit or execute. *)
-let entry_filled (e : entry) = e.request != no_request || e.batch != []
+(* An entry carries its payload once the pre-prepare arrived; until then
+   Prepare/Commit quorums may gather but nothing can commit or execute. *)
+let[@inline] entry_filled (e : entry) = e.batch != []
 
 (* Execute committed entries in sequence order. The rid table provides
    exactly-once semantics per client and caches the last reply. With
@@ -162,7 +141,7 @@ let rec try_execute r =
           Ring.async_end c.obs.Obs.ring ~time:(Engine.now c.engine) ~cat:Obs.Cat.repl
             ~id:(Obs.repl_counter_span ~replica:c.id ~counter:r.last_exec)
             ~arg:0;
-        if e.batch != [] then List.iter (Core.exec_one c) e.batch else Core.exec_one c e.request;
+        Core.exec_all c e.batch;
         if Core.after_exec c r.log ~seq:r.last_exec ~vote_to:c.peer_ids then try_execute r;
         try_execute r
       end
@@ -172,8 +151,7 @@ let rec try_execute r =
 (* --- certified state transfer --- *)
 
 (* An executed entry's requests; [] stops the served log suffix. *)
-let served_payload e =
-  if e.executed && entry_filled e then if e.batch != [] then e.batch else [ e.request ] else []
+let served_payload e = if e.executed then e.batch else []
 
 (* Install a completed, verified transfer and rejoin execution at the
    tip. *)
@@ -197,7 +175,7 @@ let try_commit r ~seq (e : entry) =
         ~signers:(Quorum.count e.commits)
         ~quorum:((2 * r.f) + 1)
         ~faulty:(Behavior.is_faulty c.behavior);
-      if e.batch != [] then Core.check_batch c ~view:r.view ~seq e.batch
+      if Core.batching c then Core.check_batch c ~view:r.view ~seq e.batch
     end;
     try_execute r
   end
@@ -214,19 +192,12 @@ let send_commit_if_prepared r ~seq (e : entry) =
 
 (* --- view changes --- *)
 
-let start_vc_timer r digest =
-  let c = r.core in
-  if not (Digest_map.mem c.timers digest) then
-    Digest_map.set c.timers digest
-      (Engine.schedule c.engine ~delay:r.config.vc_timeout (fun () ->
-           let c = r.core in
-           Digest_map.remove c.timers digest;
-           if c.online && Digest_map.mem c.pending digest then begin
-             (* Escalate past views whose primary never answered. *)
-             let new_view = max r.view r.vc_voted + 1 in
-             r.vc_voted <- new_view;
-             Core.broadcast c ~to_:c.all_ids (View_change { new_view; last_exec = r.last_exec })
-           end))
+(* A starved request: escalate past views whose primary never
+   answered. *)
+let escalate r () =
+  let new_view = max r.view r.vc_voted + 1 in
+  r.vc_voted <- new_view;
+  Core.broadcast r.core ~to_:r.core.all_ids (View_change { new_view; last_exec = r.last_exec })
 
 let equivocating (c : msg Core.t) =
   match Behavior.active_strategy c.behavior ~now:(Engine.now c.engine) with
@@ -236,48 +207,18 @@ let equivocating (c : msg Core.t) =
 (* The digest an equivocating primary shows the first f+1 backups. *)
 let lie digest = Hash.combine digest (Hash.of_string "lie")
 
-let order_request r (request : Types.request) =
-  let c = r.core in
-  let digest = Types.request_digest request in
-  if not (Digest_map.mem r.ordered digest) then begin
-    let seq = r.next_seq in
-    r.next_seq <- r.next_seq + 1;
-    Digest_map.set r.ordered digest seq;
-    if !Obs.trace_on then
-      Ring.instant c.obs.Obs.ring ~time:(Engine.now c.engine) ~cat:Obs.Cat.repl
-        ~id:(Obs.repl_event ~replica:c.id ~code:Obs.code_pre_prepare)
-        ~arg:seq;
-    let equivocating = equivocating c in
-    let e = entry_for r ~view:r.view ~seq ~digest in
-    if e != null_entry then begin
-      e.request <- request;
-      e.prepares <- Quorum.add e.prepares c.id
-    end;
-    let backups = c.peer_ids in
-    let lies = r.f + 1 in
-    for i = 0 to Array.length backups - 1 do
-      (* An equivocating primary tells half the backups a different
-         story. The truthful half is too small to form a 2f+1 quorum, so
-         the slot stalls until a view change evicts the primary. *)
-      let digest' = if equivocating && i < lies then lie digest else digest in
-      Core.send c ~dst:backups.(i) (Pre_prepare { view = r.view; seq; digest = digest'; request })
-    done
-  end
-
-(* Batched twin of [order_request]: one sequence number covers the whole
-   batch, agreed under its batch digest, shipped as one (multicast-able)
-   flight per destination. Dedup happened on the way into the batcher, so
-   the sealed list is ordered verbatim — which is what lets the
+(* One sequence number covers the whole list, agreed under its batch
+   digest, shipped as one (multicast-able) flight per destination. Dedup
+   happened on the way in (the batcher's guard or [order_request]), so the
+   list is ordered verbatim — which is what lets the
    [Batcher.test_duplicate_first] mutant actually reach agreement. *)
 let order_batch r (requests : Types.request list) =
-  if requests <> [] then begin
+  if requests != [] then begin
     let c = r.core in
     let digest = Types.batch_digest requests in
     let seq = r.next_seq in
     r.next_seq <- r.next_seq + 1;
-    List.iter
-      (fun (req : Types.request) -> Digest_map.set r.ordered (Types.request_digest req) seq)
-      requests;
+    Core.mark_ordered r.ordered ~seq requests;
     if !Obs.trace_on then
       Ring.instant c.obs.Obs.ring ~time:(Engine.now c.engine) ~cat:Obs.Cat.repl
         ~id:(Obs.repl_event ~replica:c.id ~code:Obs.code_pre_prepare)
@@ -290,6 +231,9 @@ let order_batch r (requests : Types.request list) =
     end;
     let backups = c.peer_ids in
     if equivocating then begin
+      (* An equivocating primary tells half the backups a different
+         story. The truthful half is too small to form a 2f+1 quorum, so
+         the slot stalls until a view change evicts the primary. *)
       let lies = r.f + 1 in
       for i = 0 to Array.length backups - 1 do
         let digest' = if i < lies then lie digest else digest in
@@ -299,6 +243,11 @@ let order_batch r (requests : Types.request list) =
     end
     else Core.broadcast c ~to_:backups (Pre_prepare_b { view = r.view; seq; digest; requests })
   end
+
+(* An unbatched request (ingress or view-change re-proposal) is a batch of
+   one. *)
+let order_request r (request : Types.request) =
+  if not (Digest_map.mem r.ordered (Types.request_digest request)) then order_batch r [ request ]
 
 let adopt_new_view r ~view ~start_seq ~state ~rid_table =
   let c = r.core in
@@ -321,7 +270,7 @@ let adopt_new_view r ~view ~start_seq ~state ~rid_table =
     Core.cancel_recover_timer c;
     Checkpoint.rebase cp ~seq:(start_seq - 1)
   | None -> ());
-  Digest_map.iter (fun digest _ -> start_vc_timer r digest) c.pending
+  Core.watch_all c ~delay:r.config.vc_timeout
 
 let become_primary r ~view ~start_seq =
   let rid_table = Core.rid_table_list r.core in
@@ -375,18 +324,19 @@ let on_request r (request : Types.request) =
     else begin
       (* Forward to the primary and watch it. *)
       Core.send c ~dst:(primary_of ~view:r.view ~n:c.n) (Request request);
-      start_vc_timer r digest
+      Core.watch c ~delay:r.config.vc_timeout digest
     end
   end
 
-let on_pre_prepare r ~src ~view ~seq ~digest ~request =
+let on_pre_prepare r ~src ~view ~seq ~digest ~requests =
   let c = r.core in
-  if view = r.view && src = primary_of ~view ~n:c.n && not (is_primary r) then begin
-    if Hash.equal digest (Types.request_digest request) then begin
-      Digest_map.set c.pending (Types.request_digest request) request;
+  if view = r.view && src = primary_of ~view ~n:c.n && (not (is_primary r)) && requests != []
+  then begin
+    Core.mark_pending c requests;
+    if Hash.equal digest (Types.batch_digest requests) then begin
       let e = entry_for r ~view ~seq ~digest in
       if e != null_entry && Hash.equal e.digest digest then begin
-        e.request <- request;
+        e.batch <- requests;
         e.prepares <- Quorum.add e.prepares src;
         (* our own prepare vote *)
         if not (Quorum.mem e.prepares c.id) then begin
@@ -396,41 +346,10 @@ let on_pre_prepare r ~src ~view ~seq ~digest ~request =
         send_commit_if_prepared r ~seq e
       end
     end
-    else begin
-      (* Digest mismatch: an equivocating or corrupt primary. Keep the
-         request pending and let the timer push a view change. *)
-      Digest_map.set c.pending (Types.request_digest request) request;
-      start_vc_timer r (Types.request_digest request)
-    end
-  end
-
-let on_pre_prepare_b r ~src ~view ~seq ~digest ~requests =
-  let c = r.core in
-  if view = r.view && src = primary_of ~view ~n:c.n && (not (is_primary r)) && requests <> []
-  then begin
-    if Hash.equal digest (Types.batch_digest requests) then begin
-      List.iter
-        (fun (req : Types.request) -> Digest_map.set c.pending (Types.request_digest req) req)
-        requests;
-      let e = entry_for r ~view ~seq ~digest in
-      if e != null_entry && Hash.equal e.digest digest then begin
-        e.batch <- requests;
-        e.prepares <- Quorum.add e.prepares src;
-        if not (Quorum.mem e.prepares c.id) then begin
-          e.prepares <- Quorum.add e.prepares c.id;
-          Core.broadcast c ~to_:c.peer_ids (Prepare { view; seq; digest })
-        end;
-        send_commit_if_prepared r ~seq e
-      end
-    end
     else
-      (* Batch digest mismatch: equivocating or corrupt primary. Watch
-         every carried request; the timers push a view change. *)
-      List.iter
-        (fun (req : Types.request) ->
-          Digest_map.set c.pending (Types.request_digest req) req;
-          start_vc_timer r (Types.request_digest req))
-        requests
+      (* Digest mismatch: an equivocating or corrupt primary. Watch every
+         carried request; the timers push a view change. *)
+      Core.watch_pending c ~delay:r.config.vc_timeout requests
   end
 
 let on_prepare r ~src ~view ~seq ~digest =
@@ -460,10 +379,8 @@ let handle (r : replica) ~src msg =
   if Core.alive c then
     match msg with
     | Request request -> on_request r request
-    | Pre_prepare { view; seq; digest; request } ->
-      on_pre_prepare r ~src ~view ~seq ~digest ~request
     | Pre_prepare_b { view; seq; digest; requests } ->
-      on_pre_prepare_b r ~src ~view ~seq ~digest ~requests
+      on_pre_prepare r ~src ~view ~seq ~digest ~requests
     | Prepare { view; seq; digest } -> on_prepare r ~src ~view ~seq ~digest
     | Commit { view; seq; digest } -> on_commit r ~src ~view ~seq ~digest
     | View_change { new_view; last_exec } -> on_view_change r ~src ~new_view ~last_exec
@@ -512,13 +429,14 @@ let make_replica engine fabric config stats ~id ~behavior ~chk =
     obs_vc;
   }
 
-(* The batcher closures need the replica record, so it is attached after
-   construction. An inactive (armed-but-unused) batching config creates no
+(* The escalation and batcher closures need the replica record, so they
+   are attached after construction. An inactive (armed-but-unused) batching config creates no
    batcher at all: the ordering path stays the unbatched one, event for
    event. The pipeline gate: at most [pipeline_depth] instances between
    the next proposal and the execution frontier, and never a proposal past
    the checkpoint high watermark. *)
-let attach_batcher (r : replica) =
+let attach (r : replica) =
+  r.core.escalate <- escalate r;
   match r.config.batching with
   | Some b when Batcher.active b ->
     r.core.batcher <-
@@ -541,7 +459,7 @@ let start engine fabric config ?behaviors () =
   in
   Array.iter
     (fun r ->
-      attach_batcher r;
+      attach r;
       fabric.Transport.set_handler r.core.id (fun ~src msg -> handle r ~src msg))
     replicas;
   let clients =

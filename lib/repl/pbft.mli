@@ -29,11 +29,10 @@ module Behavior = Resoc_fault.Behavior
 
 type msg =
   | Request of Types.request
-  | Pre_prepare of { view : int; seq : int; digest : Hash.t; request : Types.request }
   | Pre_prepare_b of { view : int; seq : int; digest : Hash.t; requests : Types.request list }
-      (** Batched ordering ([config.batching]): one agreement instance
-          covers the whole list; [digest = Types.batch_digest requests].
-          Prepare/Commit are shared with the single-request path. *)
+      (** Ordering: one agreement instance covers the whole list;
+          [digest = Types.batch_digest requests]. An unbatched request is
+          a list of one; [config.batching] seals longer ones. *)
   | Prepare of { view : int; seq : int; digest : Hash.t }
   | Commit of { view : int; seq : int; digest : Hash.t }
   | Reply of Types.reply
@@ -57,8 +56,8 @@ type config = {
           per-destination unicast. *)
   batching : Types.batching option;
       (** Primary-side request batching + agreement pipelining
-          ({!Batcher}); [None] (the default) keeps the legacy
-          one-instance-per-request path byte-identical. *)
+          ({!Batcher}); [None] (the default) orders each request as an
+          instance of its own, a batch of one. *)
 }
 
 val default_config : config
@@ -103,6 +102,3 @@ val set_online : t -> replica:int -> unit
     log suffix from its peers over the fabric (chunked, digest-verified
     against the certificate); without it, legacy behaviour: a free state
     copy from the most advanced online replica. *)
-
-val message_name : msg -> string
-(** For byte-accounting and tracing. *)

@@ -6,7 +6,6 @@ module Core = Replica_core
 
 type msg =
   | Request of Types.request
-  | Update of { epoch : int; seq : int; state : int64; client : int; rid : int; result : int64 }
   | Update_b of { epoch : int; seq : int; state : int64; replies : (int * int * int64) list }
   | Heartbeat of { epoch : int }
   | Promote of { epoch : int }
@@ -51,40 +50,21 @@ type replica = {
 
 type t = { replicas : replica array; clients : msg Client.t array; shared_stats : Stats.t }
 
-let message_name = function
-  | Request _ -> "request"
-  | Update _ -> "update"
-  | Update_b _ -> "update-batch"
-  | Heartbeat _ -> "heartbeat"
-  | Promote _ -> "promote"
-  | Reply _ -> "reply"
-  | Checkpoint_vote _ -> "checkpoint-vote"
-  | Fetch_state _ -> "fetch-state"
-  | State_chunk _ -> "state-chunk"
-
 let primary_of ~epoch ~n = epoch mod n
 
 let is_primary (r : replica) = primary_of ~epoch:r.epoch ~n:r.core.n = r.core.id
 
-(* Both ends of an Update derive the same digest from its payload, so the
-   checker can compare primary and backup commits at one (epoch, seq) slot.
-   The tags are folded once, at module init. *)
-let update_tag = Hash.of_string "pb-update"
-let update_b_tag = Hash.of_string "pb-update-b"
+(* Both ends of an update derive the same digest from its payload — every
+   (client, rid, result) reply folded over the post-update state — so the
+   checker can compare primary and backup commits at one (epoch, seq)
+   slot. The tag is folded once, at module init. *)
+let update_tag = Hash.of_string "pb-update-b"
 
-let update_digest ~state ~client ~rid ~result =
-  Hash.combine_int
-    (Hash.combine (Hash.combine update_tag state) result)
-    ((client * 1_000_003) + rid)
-
-(* Batched updates: the digest folds every (client, rid, result) reply
-   over the post-batch state, so primary and backups again agree on one
-   value per (epoch, seq). *)
-let update_b_digest ~state ~(replies : (int * int * int64) list) =
+let update_digest ~state ~(replies : (int * int * int64) list) =
   List.fold_left
     (fun acc (client, rid, result) ->
       Hash.combine_int (Hash.combine acc result) ((client * 1_000_003) + rid))
-    (Hash.combine update_b_tag state)
+    (Hash.combine update_tag state)
     replies
 
 (* Checkpoints here keep no agreement log to truncate and nothing waits on
@@ -112,119 +92,103 @@ let note_boundary r =
       Core.broadcast c ~to_:c.peer_ids (Checkpoint_vote { seq = r.seq; digest });
       count_vote r cp ~seq:r.seq ~digest ~voter:c.id)
 
-(* Batched primary path ([config.batching], the [Batcher.seal] callback):
-   execute the whole batch in arrival order, bump the sequence number
-   ONCE, and ship one Update_b with the post-batch state plus one
-   (client, rid, result) reply per request — the reply list is what lets
-   backups rebuild the same reply cache the primary has. *)
+let rec unbuffer r = function
+  | [] -> ()
+  | (req : Types.request) :: rest ->
+    Hashtbl.remove r.buffered (req.Types.client, req.Types.rid);
+    unbuffer r rest
+
+let rec execute_all c = function
+  | [] -> []
+  | (req : Types.request) :: rest ->
+    let result = Core.execute c req in
+    (req.Types.client, req.Types.rid, result) :: execute_all c rest
+
+let rec reply_all c = function
+  | [] -> ()
+  | (client, rid, result) :: rest ->
+    Core.reply c ~client ~rid result;
+    reply_all c rest
+
+(* The primary path (the [Batcher.seal] callback, and unbatched ingress
+   as a batch of one): execute the requests in arrival order, bump the
+   sequence number ONCE, and ship one Update_b with the post-batch state
+   plus one (client, rid, result) reply per request — the reply list is
+   what lets backups rebuild the same reply cache the primary has. *)
 let exec_batch r (requests : Types.request list) =
-  List.iter
-    (fun (req : Types.request) -> Hashtbl.remove r.buffered (req.Types.client, req.Types.rid))
-    requests;
-  if requests <> [] && is_primary r then begin
+  if Hashtbl.length r.buffered > 0 then unbuffer r requests;
+  if requests != [] && is_primary r then begin
     let c = r.core in
-    let replies =
-      List.map
-        (fun (req : Types.request) -> (req.Types.client, req.Types.rid, Core.execute c req))
-        requests
-    in
+    let replies = execute_all c requests in
     r.seq <- r.seq + 1;
     let state = App.state c.app in
     if c.chk >= 0 then begin
       Check.commit ~session:c.chk ~replica:c.id ~view:r.epoch ~seq:r.seq
-        ~digest:(update_b_digest ~state ~replies)
+        ~digest:(update_digest ~state ~replies)
         ~signers:(-1) ~quorum:1
         ~faulty:(Behavior.is_faulty c.behavior);
-      Core.check_batch c ~view:r.epoch ~seq:r.seq requests
+      if Core.batching c then Core.check_batch c ~view:r.epoch ~seq:r.seq requests
     end;
     Core.broadcast c ~to_:c.peer_ids (Update_b { epoch = r.epoch; seq = r.seq; state; replies });
     note_boundary r;
-    List.iter (fun (client, rid, result) -> Core.reply c ~client ~rid result) replies
+    reply_all c replies
   end
 
 let on_request r (request : Types.request) =
   if is_primary r then begin
     let c = r.core in
-    let client = request.Types.client and rid = request.Types.rid in
     let cached = Core.cached c request in
     match c.batcher with
     | Some b when not cached ->
       (* Retransmissions of a request already parked in the batcher must
          not enter a second batch. *)
-      if not (Hashtbl.mem r.buffered (client, rid)) then begin
-        Hashtbl.replace r.buffered (client, rid) ();
+      let key = (request.Types.client, request.Types.rid) in
+      if not (Hashtbl.mem r.buffered key) then begin
+        Hashtbl.replace r.buffered key ();
         Batcher.add b request
       end
-    | Some _ | None ->
-      if cached then Core.reply_cached c request
-      else begin
-        let result = Core.execute c request in
-        r.seq <- r.seq + 1;
-        if c.chk >= 0 then
-          Check.commit ~session:c.chk ~replica:c.id ~view:r.epoch ~seq:r.seq
-            ~digest:(update_digest ~state:(App.state c.app) ~client ~rid ~result)
-            ~signers:(-1) ~quorum:1
-            ~faulty:(Behavior.is_faulty c.behavior);
-        (* Ship the new state to the standbys. *)
-        Core.broadcast c ~to_:c.peer_ids
-          (Update { epoch = r.epoch; seq = r.seq; state = App.state c.app; client; rid; result });
-        note_boundary r;
-        Core.reply c ~client ~rid result
-      end
+    | Some _ | None -> if cached then Core.reply_cached c request else exec_batch r [ request ]
   end
 
-let on_update r ~epoch ~seq ~state ~client ~rid ~result =
+(* Reply-cache hits sealed into a batch carry their old rid; never regress
+   the cache below what this backup already recorded. *)
+let rec store_replies c = function
+  | [] -> ()
+  | (client, rid, result) :: rest ->
+    let i = Core.rid_slot c client in
+    if c.rid_last.(i) = min_int || rid > c.rid_last.(i) then begin
+      c.rid_last.(i) <- rid;
+      c.rid_result.(i) <- result
+    end;
+    store_replies c rest
+
+let on_update r ~epoch ~seq ~state ~(replies : (int * int * int64) list) =
   if epoch >= r.epoch && seq > r.seq then begin
     let c = r.core in
     r.epoch <- max r.epoch epoch;
     r.seq <- seq;
     App.set_state c.app state;
-    if c.chk >= 0 then
+    if c.chk >= 0 then begin
       Check.commit ~session:c.chk ~replica:c.id ~view:epoch ~seq
-        ~digest:(update_digest ~state ~client ~rid ~result)
+        ~digest:(update_digest ~state ~replies)
         ~signers:(-1) ~quorum:1
         ~faulty:(Behavior.is_faulty c.behavior);
-    Core.store c ~client ~rid result;
+      if Core.batching c then begin
+        let len = List.length replies in
+        List.iteri
+          (fun pos (client, rid, _) ->
+            Check.batch_commit ~session:c.chk ~replica:c.id ~view:epoch ~seq ~pos ~len ~client
+              ~rid ~faulty:(Behavior.is_faulty c.behavior))
+          replies
+      end
+    end;
+    store_replies c replies;
     match c.cp with
     | None -> ()
     | Some cp ->
       (* Landing exactly on a boundary lets the backup match the
          primary's vote; a skipped boundary (gap in the update stream)
          instead trips the catch-up path when the vote arrives. *)
-      ignore (Checkpoint.note_exec cp ~seq ~state ~rid_last:c.rid_last ~rid_result:c.rid_result)
-  end
-
-let on_update_b r ~epoch ~seq ~state ~(replies : (int * int * int64) list) =
-  if epoch >= r.epoch && seq > r.seq then begin
-    let c = r.core in
-    r.epoch <- max r.epoch epoch;
-    r.seq <- seq;
-    App.set_state c.app state;
-    if c.chk >= 0 then begin
-      Check.commit ~session:c.chk ~replica:c.id ~view:epoch ~seq
-        ~digest:(update_b_digest ~state ~replies)
-        ~signers:(-1) ~quorum:1
-        ~faulty:(Behavior.is_faulty c.behavior);
-      let len = List.length replies in
-      List.iteri
-        (fun pos (client, rid, _) ->
-          Check.batch_commit ~session:c.chk ~replica:c.id ~view:epoch ~seq ~pos ~len ~client ~rid
-            ~faulty:(Behavior.is_faulty c.behavior))
-        replies
-    end;
-    List.iter
-      (fun (client, rid, result) ->
-        let i = Core.rid_slot c client in
-        (* Reply-cache hits sealed into a batch carry their old rid; never
-           regress the cache below what this backup already recorded. *)
-        if c.rid_last.(i) = min_int || rid > c.rid_last.(i) then begin
-          c.rid_last.(i) <- rid;
-          c.rid_result.(i) <- result
-        end)
-      replies;
-    match c.cp with
-    | None -> ()
-    | Some cp ->
       ignore (Checkpoint.note_exec cp ~seq ~state ~rid_last:c.rid_last ~rid_result:c.rid_result)
   end
 
@@ -268,9 +232,7 @@ let handle (r : replica) ~src msg =
   if Core.alive c then
     match msg with
     | Request request -> on_request r request
-    | Update { epoch; seq; state; client; rid; result } ->
-      on_update r ~epoch ~seq ~state ~client ~rid ~result
-    | Update_b { epoch; seq; state; replies } -> on_update_b r ~epoch ~seq ~state ~replies
+    | Update_b { epoch; seq; state; replies } -> on_update r ~epoch ~seq ~state ~replies
     | Heartbeat { epoch } -> on_heartbeat r ~epoch
     | Promote { epoch } -> on_promote r ~epoch
     | Reply _ -> ()

@@ -11,11 +11,11 @@ module Behavior = Resoc_fault.Behavior
 
 type msg =
   | Request of Types.request
-  | Update of { epoch : int; seq : int; state : int64; client : int; rid : int; result : int64 }
   | Update_b of { epoch : int; seq : int; state : int64; replies : (int * int * int64) list }
-      (** Batched shipping ([config.batching]): one update carries the
-          post-batch state plus one (client, rid, result) reply per
-          request, so backups rebuild the primary's reply cache. *)
+      (** State shipping: one update carries the post-execution state
+          plus one (client, rid, result) reply per request, so backups
+          rebuild the primary's reply cache. An unbatched request ships
+          a list of one. *)
   | Heartbeat of { epoch : int }
   | Promote of { epoch : int }
   | Reply of Types.reply
@@ -45,8 +45,8 @@ type config = {
       (** Primary-side request batching ({!Batcher}); the primary still
           executes immediately at seal time (no agreement to pipeline —
           the gate is trivially open), so batching here amortizes Update
-          traffic. [None] (the default) keeps the legacy
-          one-update-per-request path byte-identical. *)
+          traffic. [None] (the default) ships one update per request,
+          a batch of one. *)
 }
 
 val default_config : config
@@ -89,5 +89,3 @@ val set_online : t -> replica:int -> unit
 (** Rejoin after rejuvenation: the replica restarts wiped and fetches
     the latest certified checkpoint from the primary. Requires
     [config.checkpoint = Some _]; raises [Invalid_argument] otherwise. *)
-
-val message_name : msg -> string

@@ -20,6 +20,7 @@ type 'msg t = {
   mutable rid_result : int64 array;
   pending : Types.request Digest_map.t;
   timers : Engine.handle Digest_map.t;
+  mutable escalate : unit -> unit;
   all_ids : int array;
   peer_ids : int array;
   mutable batcher : Batcher.t option;
@@ -70,6 +71,7 @@ let create ~engine ~fabric ~id ~n ~n_clients ~behavior ~stats ~chk ~request_time
     rid_result = Array.make (n + n_clients) 0L;
     pending = Digest_map.create ();
     timers = Digest_map.create ~capacity:16 ();
+    escalate = ignore;
     all_ids = Array.init n Fun.id;
     peer_ids = Array.init (n - 1) (fun i -> if i < id then i else i + 1);
     batcher = None;
@@ -206,6 +208,25 @@ let cancel_timers c =
   Digest_map.iter (fun _ h -> Engine.cancel c.engine h) c.timers;
   Digest_map.reset c.timers
 
+(* The timer captures only the core and the digest; what a starved
+   request triggers is the protocol's [escalate], built once per
+   replica. *)
+let watch c ~delay digest =
+  if not (Digest_map.mem c.timers digest) then
+    Digest_map.set c.timers digest
+      (Engine.schedule c.engine ~delay (fun () ->
+           Digest_map.remove c.timers digest;
+           if c.online && Digest_map.mem c.pending digest then c.escalate ()))
+
+let watch_all c ~delay = Digest_map.iter (fun digest _ -> watch c ~delay digest) c.pending
+
+let rec watch_pending c ~delay = function
+  | [] -> ()
+  | (req : Types.request) :: rest ->
+    let digest = Types.request_digest req in
+    if Digest_map.mem c.pending digest then watch c ~delay digest;
+    watch_pending c ~delay rest
+
 let exec_one c (request : Types.request) =
   let result = execute c request in
   let digest = Types.request_digest request in
@@ -216,6 +237,26 @@ let exec_one c (request : Types.request) =
       ~id:(Obs.repl_request_span ~replica:c.id ~client:request.Types.client ~rid:request.Types.rid)
       ~arg:0;
   reply_to_client c request result
+
+(* Direct walks over an instance's requests, so that agreeing on one
+   allocates no closure. *)
+let rec exec_all c = function
+  | [] -> ()
+  | req :: rest ->
+    exec_one c req;
+    exec_all c rest
+
+let rec mark_pending c = function
+  | [] -> ()
+  | (req : Types.request) :: rest ->
+    Digest_map.set c.pending (Types.request_digest req) req;
+    mark_pending c rest
+
+let rec mark_ordered ordered ~seq = function
+  | [] -> ()
+  | (req : Types.request) :: rest ->
+    Digest_map.set ordered (Types.request_digest req) seq;
+    mark_ordered ordered ~seq rest
 
 let admit c ~digest (request : Types.request) =
   let was_pending = Digest_map.mem c.pending digest in
@@ -258,6 +299,8 @@ let rec check_batch_from c ~view ~seq ~len ~faulty pos = function
 let check_batch c ~view ~seq requests =
   check_batch_from c ~view ~seq ~len:(List.length requests)
     ~faulty:(Behavior.is_faulty c.behavior) 0 requests
+
+let[@inline] batching c = match c.batcher with Some _ -> true | None -> false
 
 let[@inline] kick c = match c.batcher with Some b -> Batcher.kick b | None -> ()
 

@@ -43,6 +43,9 @@ type 'msg t = {
   mutable rid_result : int64 array;  (** Client -> cached result of that rid. *)
   pending : Types.request Digest_map.t;  (** Seen, not yet executed. *)
   timers : Engine.handle Digest_map.t;  (** Per-request view-change timers. *)
+  mutable escalate : unit -> unit;
+      (** What a starved request triggers (see {!watch}); each protocol
+          sets it once per replica after construction. *)
   all_ids : int array;  (** [0 .. n-1]. *)
   peer_ids : int array;  (** [0 .. n-1] minus [id]. *)
   mutable batcher : Batcher.t option;  (** Some iff the config's batching is active. *)
@@ -163,6 +166,15 @@ val exec_one : 'msg t -> Types.request -> unit
 (** One request of an agreed instance: {!execute}, retire it from
     [pending] with its timer, close its span, reply to the client. *)
 
+val exec_all : 'msg t -> Types.request list -> unit
+(** {!exec_one} over an agreed instance, in order. *)
+
+val mark_pending : 'msg t -> Types.request list -> unit
+(** Record every request an instance carries as pending. *)
+
+val mark_ordered : int Digest_map.t -> seq:int -> Types.request list -> unit
+(** A primary's dedup table: map every request of the instance to [seq]. *)
+
 val admit : 'msg t -> digest:Hash.t -> Types.request -> bool
 (** Mark a request pending (opening its span on first sight); returns
     whether it already was. *)
@@ -170,6 +182,18 @@ val admit : 'msg t -> digest:Hash.t -> Types.request -> bool
 val pending_sorted : 'msg t -> Types.request list
 (** Pending requests ordered by (client, rid), for deterministic
     re-proposal by a new primary. *)
+
+val watch : 'msg t -> delay:int -> Hash.t -> unit
+(** Arm the request timer of [digest] unless one is running. When it
+    fires it is forgotten, and if the replica is online and the request
+    still pending, [escalate] runs. Arming allocates the timer and one
+    closure over the core and the digest. *)
+
+val watch_pending : 'msg t -> delay:int -> Types.request list -> unit
+(** {!watch} every request of the list that is pending. *)
+
+val watch_all : 'msg t -> delay:int -> unit
+(** {!watch} every pending request: a new view restarts their patience. *)
 
 val cancel_request_timer : 'msg t -> Hash.t -> unit
 
@@ -188,6 +212,10 @@ val check_exec_window : 'msg t -> seq:int -> unit
 val check_batch : 'msg t -> view:int -> seq:int -> Types.request list -> unit
 (** Report every request of a committed batch to the checker's
     batch-atomicity invariant. Call only when [chk >= 0]. *)
+
+val batching : 'msg t -> bool
+(** The replica has an active batcher. Protocols whose unbatched
+    instances hold one request report batch atomicity only then. *)
 
 val after_exec : 'msg t -> 'e Slot_ring.t -> seq:int -> vote_to:int array -> bool
 (** After executing [seq]: kick the batcher, then either release the log

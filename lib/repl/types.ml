@@ -14,14 +14,12 @@ let request_tag = Hash.of_string "request"
 let request_digest r =
   Hash.combine_int (Hash.combine request_tag r.payload) ((r.client * 1_000_003) + r.rid)
 
-let request_equal (a : request) (b : request) = a.client = b.client && a.rid = b.rid && Int64.equal a.payload b.payload
-
 (* Config for the shared request-batching / agreement-pipelining layer
-   (Batcher). [None] on a protocol config keeps the one-instance-per-request
-   legacy path byte-identical; a config with [max_batch = 1] and
-   [window_cycles = 0] is "armed but inactive" — threaded through every
-   constructor yet ordering nothing differently (the determinism gate's
-   probe). *)
+   (Batcher). Every protocol orders request lists; [None] on a protocol
+   config orders each request as a batch of one. A config with
+   [max_batch = 1] and [window_cycles = 0] is "armed but inactive" —
+   threaded through every constructor yet ordering nothing differently
+   (the determinism gate's probe). *)
 type batching = { window_cycles : int; max_batch : int; pipeline_depth : int }
 
 let batch_tag = Hash.of_string "batch"

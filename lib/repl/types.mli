@@ -18,8 +18,6 @@ val make_request : client:int -> rid:int -> payload:int64 -> request
 
 val request_digest : request -> Hash.t
 
-val request_equal : request -> request -> bool
-
 type batching = { window_cycles : int; max_batch : int; pipeline_depth : int }
 (** Shared batching/pipelining knob ([Batcher]): the primary buffers
     requests for up to [window_cycles] (0 = seal as soon as possible),
@@ -27,7 +25,8 @@ type batching = { window_cycles : int; max_batch : int; pipeline_depth : int }
     [pipeline_depth] instances in flight (further bounded by the
     checkpoint high watermark when checkpointing is on). A protocol
     config carries [batching : batching option]; [None] (every default)
-    leaves the legacy one-request-per-instance path untouched. *)
+    orders each request as an instance of its own: a request is a batch
+    of one. *)
 
 val batch_digest : request list -> Hash.t
 (** Digest covering an ordered batch of requests (order-sensitive fold);

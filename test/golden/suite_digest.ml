@@ -1,7 +1,8 @@
 (* Whole-suite byte-identity digest.
 
    Runs every experiment of bench/main.exe at two replicates on one worker
-   domain in four modes (plain, --batch, --mcast --batch, --metrics) and
+   domain in five modes (plain, --batch, --mcast --batch, --metrics,
+   --mcast) and
    prints one MD5 line per emitted artefact: the run's stdout and each
    BENCH_<id>.json it wrote. The runtest rule diffs this against the
    committed suite_digest.expected, so any output drift between commits
@@ -15,6 +16,7 @@ let modes =
     ("batch", [ "--batch" ]);
     ("mcast-batch", [ "--mcast"; "--batch" ]);
     ("metrics", [ "--metrics" ]);
+    ("mcast", [ "--mcast" ]);
   ]
 
 let rec remove_tree path =

@@ -457,14 +457,6 @@ let prop_ipq_model =
 
 (* --- Metrics --- *)
 
-let test_counter () =
-  let c = Metrics.Counter.create "c" in
-  Metrics.Counter.incr c;
-  Metrics.Counter.incr ~by:4 c;
-  Alcotest.(check int) "value" 5 (Metrics.Counter.value c);
-  Metrics.Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Metrics.Counter.value c)
-
 let test_histogram_stats () =
   let h = Metrics.Histogram.create "h" in
   List.iter (Metrics.Histogram.add h) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
@@ -517,18 +509,6 @@ let test_histogram_empty () =
   let h = Metrics.Histogram.create "h" in
   Alcotest.(check (float 0.0)) "mean empty" 0.0 (Metrics.Histogram.mean h);
   Alcotest.(check (float 0.0)) "percentile empty" 0.0 (Metrics.Histogram.percentile h 50.0)
-
-let test_series () =
-  let s = Metrics.Series.create "s" in
-  Metrics.Series.add s ~time:1 1.5;
-  Metrics.Series.add s ~time:2 2.5;
-  Alcotest.(check int) "length" 2 (Metrics.Series.length s);
-  Alcotest.(check (list (pair int (float 1e-9)))) "order" [ (1, 1.5); (2, 2.5) ] (Metrics.Series.to_list s);
-  (match Metrics.Series.last s with
-   | Some (t, v) ->
-     Alcotest.(check int) "last time" 2 t;
-     Alcotest.(check (float 1e-9)) "last value" 2.5 v
-   | None -> Alcotest.fail "expected last")
 
 (* --- Trace --- *)
 
@@ -612,12 +592,10 @@ let () =
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "counter" `Quick test_counter;
           Alcotest.test_case "histogram stats" `Quick test_histogram_stats;
           Alcotest.test_case "histogram percentile" `Quick test_histogram_percentile;
           Alcotest.test_case "percentile small n" `Quick test_percentile_small_n;
           Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
-          Alcotest.test_case "series" `Quick test_series;
         ] );
       qsuite "metrics-prop" [ prop_percentile_oracle ];
       ( "trace",

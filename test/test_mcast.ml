@@ -14,8 +14,9 @@ module Check = Resoc_check.Check
 module Inject = Resoc_check.Inject
 module Link_fault = Resoc_fault.Link_fault
 module Campaign = Resoc_campaign.Campaign
-module Group = Resoc_core.Group
 module Soc = Resoc_core.Soc
+module Pbft = Resoc_repl.Pbft
+module Behavior = Resoc_fault.Behavior
 module Generator = Resoc_workload.Generator
 
 let with_check f =
@@ -227,9 +228,13 @@ let test_knob_dup_deliver () =
              Engine.run engine)))
 
 (* --- End-to-end: a PBFT group on a mesh SoC completes the same requests
-   with protocol fan-outs on trees as on unicast, with the checker on. --- *)
+   with protocol fan-outs on trees as on unicast, with the checker on. The
+   fabric is wrapped to count how replica 0 (the first view's primary)
+   ships its pre-prepares: per-destination sends or fabric multicasts. --- *)
 
-let soc_burst ~multicast =
+type burst = { submitted : int; completed : int; pp_sends : int; pp_multicasts : int }
+
+let soc_burst ?behaviors ~multicast () =
   let soc =
     Soc.create
       {
@@ -240,22 +245,71 @@ let soc_burst ~multicast =
         noc = { Network.default_config with multicast };
       }
   in
-  let spec = { Group.default_spec with kind = `Pbft; f = 1; n_clients = 2; multicast } in
-  let group = Group.build (Soc.engine soc) (Group.On_soc soc) spec in
-  Generator.burst ~n_per_client:5 ~n_clients:2 ~submit:group.Group.submit;
+  let config = { Pbft.default_config with f = 1; n_clients = 2; multicast } in
+  let n = Pbft.n_replicas config + config.Pbft.n_clients in
+  let noc = Soc.noc_fabric soc ~placement:(Soc.spread_placement soc ~n) ~size_of:(fun _ -> 64) in
+  let pp_sends = ref 0 and pp_multicasts = ref 0 in
+  let from_primary counter ~src = function
+    | Pbft.Pre_prepare_b _ when src = 0 -> incr counter
+    | _ -> ()
+  in
+  let fabric =
+    {
+      noc with
+      Resoc_repl.Transport.send =
+        (fun ~src ~dst msg ->
+          from_primary pp_sends ~src msg;
+          noc.Resoc_repl.Transport.send ~src ~dst msg);
+      multicast =
+        Option.map
+          (fun mc ~src ~dsts ~n msg ->
+            from_primary pp_multicasts ~src msg;
+            mc ~src ~dsts ~n msg)
+          noc.Resoc_repl.Transport.multicast;
+    }
+  in
+  let sys = Pbft.start (Soc.engine soc) fabric config ?behaviors () in
+  Generator.burst ~n_per_client:5 ~n_clients:2 ~submit:(Pbft.submit sys);
   Engine.run ~until:2_000_000 (Soc.engine soc);
-  let s = group.Group.stats () in
-  (s.Resoc_repl.Stats.submitted, s.Resoc_repl.Stats.completed)
+  let s = Pbft.stats sys in
+  {
+    submitted = s.Resoc_repl.Stats.submitted;
+    completed = s.Resoc_repl.Stats.completed;
+    pp_sends = !pp_sends;
+    pp_multicasts = !pp_multicasts;
+  }
 
 let test_protocol_broadcast_equivalent () =
   with_check (fun () ->
-      let submitted_m, completed_m = soc_burst ~multicast:true in
+      let m = soc_burst ~multicast:true () in
       Check.begin_replicate ();
       Inject.begin_replicate ();
-      let submitted_u, completed_u = soc_burst ~multicast:false in
-      Alcotest.(check int) "same submissions" submitted_u submitted_m;
-      Alcotest.(check int) "same completions" completed_u completed_m;
-      Alcotest.(check bool) "requests actually completed" true (completed_m = 10))
+      let u = soc_burst ~multicast:false () in
+      Alcotest.(check int) "same submissions" u.submitted m.submitted;
+      Alcotest.(check int) "same completions" u.completed m.completed;
+      Alcotest.(check bool) "requests actually completed" true (m.completed = 10))
+
+(* An unbatched request is ordered as a batch of one, so an honest
+   primary's pre-prepare is one fan-out like any other: one multicast
+   with multicast on, one send per backup without it. *)
+let test_unbatched_pre_prepare_multicast () =
+  let m = soc_burst ~multicast:true () in
+  Alcotest.(check int) "one multicast per request" 10 m.pp_multicasts;
+  Alcotest.(check int) "no per-backup sends" 0 m.pp_sends;
+  let u = soc_burst ~multicast:false () in
+  Alcotest.(check int) "no multicast when off" 0 u.pp_multicasts;
+  Alcotest.(check int) "one send per backup and request" 30 u.pp_sends
+
+(* An equivocating primary tells each backup its own story, which a
+   multicast cannot carry: its pre-prepares stay per-destination. *)
+let test_equivocating_pre_prepare_unicast () =
+  let behaviors =
+    [| Behavior.byzantine Behavior.Equivocate; Behavior.honest; Behavior.honest; Behavior.honest |]
+  in
+  let m = soc_burst ~behaviors ~multicast:true () in
+  Alcotest.(check int) "no multicast lies" 0 m.pp_multicasts;
+  Alcotest.(check bool) "per-backup lies sent" true (m.pp_sends > 0);
+  Alcotest.(check int) "completed after eviction" 10 m.completed
 
 (* --- Campaign determinism: one multicast replicate under a live link
    campaign, run with 1 worker and with 2 — every aggregate (delivery
@@ -345,6 +399,10 @@ let () =
         [
           Alcotest.test_case "protocol broadcasts equivalent" `Quick
             test_protocol_broadcast_equivalent;
+          Alcotest.test_case "unbatched pre-prepare is one multicast" `Quick
+            test_unbatched_pre_prepare_multicast;
+          Alcotest.test_case "equivocating pre-prepare stays unicast" `Quick
+            test_equivocating_pre_prepare_unicast;
         ] );
       ( "determinism",
         [
