@@ -4,7 +4,13 @@
     and splittable, so every simulated component can own an independent
     stream derived from the experiment's master seed. All stochastic
     behaviour in resoc flows from one of these generators, which makes every
-    run exactly reproducible from its seed. *)
+    run exactly reproducible from its seed.
+
+    The state is held unboxed, so draws that return an [int] or a [bool]
+    ({!int}, {!bits}, {!bool}, {!bernoulli}, {!geometric},
+    {!draw_geometric}, {!pick}, {!shuffle}) allocate nothing.
+    A [float] or [int64] result is boxed only when it crosses a module
+    boundary, as any float or int64 return value is. *)
 
 type t
 
@@ -30,6 +36,11 @@ val derive : int64 -> int -> int64
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val bits : t -> int
+(** [bits t] is [Int64.to_int (int64 t)]: the low {!Sys.int_size} bits of
+    the next raw output, one random bit per lane of a bit-sliced word.
+    Allocates nothing. *)
+
 val int : t -> int -> int
 (** [int t n] draws uniformly from [0, n). Raises [Invalid_argument] if
     [n <= 0]. *)
@@ -50,7 +61,20 @@ val geometric : t -> p:float -> int
 (** Number of Bernoulli(p) failures before the first success; 0-based.
     One draw, none at [p = 1]. Values past the int range clamp to
     [max_int], which tiny [p] reaches routinely. Raises
-    [Invalid_argument] unless [0 < p <= 1] (NaN included). *)
+    [Invalid_argument] unless [0 < p <= 1] (NaN included). This is the
+    one-shot form of [draw_geometric t (geometric_of ~p)]. *)
+
+type geometric
+(** A geometric sampler with its parameter prepared: the logarithm that
+    every draw divides by is computed once, when the sampler is built. *)
+
+val geometric_of : p:float -> geometric
+(** [geometric_of ~p] prepares a sampler for {!geometric}[ ~p]. Raises
+    the same [Invalid_argument] as {!geometric} unless [0 < p <= 1]. *)
+
+val draw_geometric : t -> geometric -> int
+(** [draw_geometric t (geometric_of ~p)] returns exactly what
+    [geometric t ~p] would, from the same draw, and allocates nothing. *)
 
 val poisson : t -> mean:float -> int
 (** Poisson variate (Knuth's method; suitable for small-to-moderate means). *)

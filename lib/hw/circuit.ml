@@ -75,6 +75,10 @@ let eval_flipped t ~flipped inputs =
 
 let eval t inputs = eval_flipped t ~flipped:(fun _ -> false) inputs
 
+(* An operand read, at top level so that it closes over nothing: a local
+   closure over [values] would be allocated on every evaluation. *)
+let[@inline] get values a = Array.unsafe_get values a
+
 let eval_words t ~inputs ~flips values =
   let n = Array.length t.gates in
   if Array.length inputs <> t.n_inputs then invalid_arg "Circuit.eval_words: wrong input arity";
@@ -82,19 +86,18 @@ let eval_words t ~inputs ~flips values =
     invalid_arg "Circuit.eval_words: flips and values need one word per gate";
   (* [build] checked every operand against its gate's index, so the reads
      below stay in bounds. *)
-  let get a = Array.unsafe_get values a in
   for i = 0 to n - 1 do
     let v =
       match Array.unsafe_get t.gates i with
       | Input k -> Array.unsafe_get inputs k
       | Const b -> if b then -1 else 0
-      | Not a -> lnot (get a) lxor Array.unsafe_get flips i
-      | Buf a -> get a lxor Array.unsafe_get flips i
-      | And (a, b) -> (get a land get b) lxor Array.unsafe_get flips i
-      | Or (a, b) -> (get a lor get b) lxor Array.unsafe_get flips i
-      | Xor (a, b) -> (get a lxor get b) lxor Array.unsafe_get flips i
-      | Nand (a, b) -> lnot (get a land get b) lxor Array.unsafe_get flips i
-      | Nor (a, b) -> lnot (get a lor get b) lxor Array.unsafe_get flips i
+      | Not a -> lnot (get values a) lxor Array.unsafe_get flips i
+      | Buf a -> get values a lxor Array.unsafe_get flips i
+      | And (a, b) -> (get values a land get values b) lxor Array.unsafe_get flips i
+      | Or (a, b) -> (get values a lor get values b) lxor Array.unsafe_get flips i
+      | Xor (a, b) -> (get values a lxor get values b) lxor Array.unsafe_get flips i
+      | Nand (a, b) -> lnot (get values a land get values b) lxor Array.unsafe_get flips i
+      | Nor (a, b) -> lnot (get values a lor get values b) lxor Array.unsafe_get flips i
     in
     Array.unsafe_set values i v
   done

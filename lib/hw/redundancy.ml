@@ -31,13 +31,17 @@ let check_probability name p =
 
 (* Fault placement by geometric skip: with every position failing
    independently with probability [p], the gap to the next failure is
-   geometric, so one draw finds the next faulty position. [p = 0] never
-   fails; the [max_int] clamp stands for "beyond any position". *)
-let next_fault rng ~p pos =
-  if p <= 0.0 then max_int
-  else
-    let skip = Rng.geometric rng ~p in
-    if skip >= max_int - pos - 1 then max_int else pos + 1 + skip
+   geometric, so one draw finds the next faulty position. The sampler is
+   prepared once per estimate; [None] stands for [p = 0], which never
+   fails. The [max_int] clamp stands for "beyond any position". *)
+let fault_sampler p = if p <= 0.0 then None else Some (Rng.geometric_of ~p)
+
+let next_fault rng sampler pos =
+  match sampler with
+  | None -> max_int
+  | Some g ->
+      let skip = Rng.draw_geometric rng g in
+      if skip >= max_int - pos - 1 then max_int else pos + 1 + skip
 
 let mc_module_nmr rng ~n ~trials ~p_fail =
   if trials <= 0 then invalid_arg "Redundancy.mc_module_nmr: trials must be positive";
@@ -48,11 +52,12 @@ let mc_module_nmr rng ~n ~trials ~p_fail =
      position order, so each trial's failure count is streamed and the
      trial counted once, when its failures first outvote the rest. *)
   let outvoted = (n + 1) / 2 in
+  let sampler = fault_sampler p_fail in
   let positions = trials * n in
   let failures = ref 0 in
   let trial = ref (-1) in
   let count = ref 0 in
-  let pos = ref (next_fault rng ~p:p_fail (-1)) in
+  let pos = ref (next_fault rng sampler (-1)) in
   while !pos < positions do
     let t = !pos / n in
     if t <> !trial then begin
@@ -61,7 +66,7 @@ let mc_module_nmr rng ~n ~trials ~p_fail =
     end;
     incr count;
     if !count = outvoted then incr failures;
-    pos := next_fault rng ~p:p_fail !pos
+    pos := next_fault rng sampler !pos
   done;
   float_of_int !failures /. float_of_int trials
 
@@ -80,10 +85,11 @@ let mc_circuit_correct rng circuit ~trials ~p_gate =
   let values = Array.make size 0 in
   let golden = Array.make (Array.length outputs) 0 in
   let correct = ref 0 in
+  let sampler = fault_sampler p_gate in
   (* A batch runs [active] trials, one per lane. Its fault positions are
      [j * active + lane] for fallible gate [j]; [next] is the next faulty
      position counted from the batch's start, carried into the next batch. *)
-  let next = ref (next_fault rng ~p:p_gate (-1)) in
+  let next = ref (next_fault rng sampler (-1)) in
   let remaining = ref trials in
   while !remaining > 0 do
     let active = min lanes !remaining in
@@ -91,20 +97,24 @@ let mc_circuit_correct rng circuit ~trials ~p_gate =
     if !next >= span then correct := !correct + active
     else begin
       for k = 0 to Array.length inputs - 1 do
-        inputs.(k) <- Int64.to_int (Rng.int64 rng)
+        inputs.(k) <- Rng.bits rng
       done;
       (* [flips] is all zero between batches: the golden run. *)
       Circuit.eval_words circuit ~inputs ~flips values;
-      Array.iteri (fun o g -> golden.(o) <- values.(g)) outputs;
+      for o = 0 to Array.length outputs - 1 do
+        golden.(o) <- values.(outputs.(o))
+      done;
       while !next < span do
         let g = fallible.(!next / active) in
         flips.(g) <- flips.(g) lor (1 lsl (!next mod active));
-        next := next_fault rng ~p:p_gate !next
+        next := next_fault rng sampler !next
       done;
       Circuit.eval_words circuit ~inputs ~flips values;
       (* Lanes past [active] get no flips, so they never differ. *)
       let wrong = ref 0 in
-      Array.iteri (fun o g -> wrong := !wrong lor (golden.(o) lxor values.(g))) outputs;
+      for o = 0 to Array.length outputs - 1 do
+        wrong := !wrong lor (golden.(o) lxor values.(outputs.(o)))
+      done;
       correct := !correct + active - popcount 0 !wrong;
       Array.fill flips 0 size 0
     end;

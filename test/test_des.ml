@@ -140,6 +140,122 @@ let test_geometric_mean () =
   let mean = float_of_int !sum /. float_of_int n in
   Alcotest.(check bool) "mean near 3" true (Float.abs (mean -. 3.0) < 0.2)
 
+(* The stream itself, pinned: a change of representation must not move a
+   single bit. Seed 0 gives the published SplitMix64 reference outputs. *)
+let test_rng_reference_vectors () =
+  let expect seed outputs =
+    let r = Rng.create seed in
+    List.iteri
+      (fun i v -> Alcotest.(check int64) (Printf.sprintf "seed %Ld output %d" seed i) v (Rng.int64 r))
+      outputs
+  in
+  expect 0L
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL; 0xF88BB8A8724C81ECL;
+      0x1B39896A51A8749BL ];
+  expect 0x0123456789ABCDEFL
+    [ 0x157A3807A48FAA9DL; 0xD573529B34A1D093L; 0x2F90B72E996DCCBEL; 0xA2D419334C4667ECL;
+      0x01404CE914938008L ];
+  let r = Rng.create 42L in
+  Alcotest.(check (list int)) "int draws" [ 605; 291; 954 ] (List.init 3 (fun _ -> Rng.int r 1000));
+  let r = Rng.create 42L in
+  Alcotest.(check (list (float 0.0)))
+    "float draws"
+    [ 0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2 ]
+    (List.init 3 (fun _ -> Rng.float r 1.0))
+
+let test_rng_split_matches_derive () =
+  let seed = 99L in
+  let parent = Rng.create seed in
+  for i = 0 to 3 do
+    let child = Rng.split parent in
+    let derived = Rng.create (Rng.derive seed i) in
+    for k = 0 to 3 do
+      Alcotest.(check int64)
+        (Printf.sprintf "child %d output %d" i k)
+        (Rng.int64 derived) (Rng.int64 child)
+    done
+  done
+
+let test_rng_copy_independent () =
+  let original = Rng.create 17L in
+  ignore (Rng.int64 original);
+  let twin = Rng.copy original in
+  let ahead = List.init 4 (fun _ -> Rng.int64 twin) in
+  Alcotest.(check (list int64)) "advancing the copy leaves the original untouched" ahead
+    (List.init 4 (fun _ -> Rng.int64 original))
+
+let test_geometric_sampler () =
+  let err = Invalid_argument "Rng.geometric: p must be in (0,1]" in
+  List.iter
+    (fun p ->
+      Alcotest.check_raises (Printf.sprintf "geometric_of ~p:%g rejected" p) err (fun () ->
+          ignore (Rng.geometric_of ~p)))
+    [ 0.0; -0.5; 1.5; Float.nan ];
+  (* p = 1 consumes no draw; p = 1e-300 lands past the int range on every
+     draw, so each one takes the clamp. *)
+  let a = Rng.create 12L and b = Rng.create 12L in
+  Alcotest.(check int) "p=1 is 0" 0 (Rng.draw_geometric a (Rng.geometric_of ~p:1.0));
+  Alcotest.(check int64) "p=1 consumes no draw" (Rng.int64 b) (Rng.int64 a);
+  let tiny = Rng.geometric_of ~p:1e-300 in
+  for _ = 1 to 100 do
+    Alcotest.(check int) "p=1e-300 clamps" max_int (Rng.draw_geometric a tiny)
+  done
+
+let gen_seed = QCheck.Gen.(map Int64.of_int int)
+
+(* p over (0, 1], on a linear and on a log scale, plus the edge cases. *)
+let gen_p =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun x -> 1.0 -. x) (float_bound_exclusive 1.0);
+        map (fun e -> 10.0 ** -.e) (float_range 0.0 300.0);
+        oneofl [ 1.0; 1e-17; 1e-300 ];
+      ])
+
+let prop_sampler_matches_geometric =
+  QCheck.Test.make ~name:"prepared sampler draws exactly what geometric draws" ~count:500
+    (QCheck.make ~print:(fun (s, p) -> Printf.sprintf "seed %Ld, p %h" s p)
+       QCheck.Gen.(pair gen_seed gen_p))
+    (fun (seed, p) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      let g = Rng.geometric_of ~p in
+      List.for_all (fun _ -> Rng.draw_geometric a g = Rng.geometric b ~p) (List.init 16 Fun.id)
+      && Int64.equal (Rng.int64 a) (Rng.int64 b))
+
+let prop_bits_is_int64 =
+  QCheck.Test.make ~name:"bits is the raw output truncated to an int" ~count:200
+    (QCheck.make ~print:Int64.to_string gen_seed)
+    (fun seed ->
+      let a = Rng.create seed and b = Rng.create seed in
+      List.for_all (fun _ -> Rng.bits a = Int64.to_int (Rng.int64 b)) (List.init 16 Fun.id))
+
+(* Minor words over 10k draws, after one warm-up pass. *)
+let zero_alloc name draw =
+  let pass () =
+    for _ = 1 to 10_000 do
+      draw ()
+    done
+  in
+  pass ();
+  let before = Gc.minor_words () in
+  pass ();
+  Alcotest.(check (float 0.0)) (name ^ ": minor words over 10k draws") 0.0
+    (Gc.minor_words () -. before)
+
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create 31L in
+  let g = Rng.geometric_of ~p:0.01 in
+  zero_alloc "int" (fun () -> ignore (Rng.int r 1000));
+  zero_alloc "bool" (fun () -> ignore (Rng.bool r));
+  zero_alloc "bits" (fun () -> ignore (Rng.bits r));
+  zero_alloc "draw_geometric" (fun () -> ignore (Rng.draw_geometric r g));
+  zero_alloc "geometric" (fun () -> ignore (Rng.geometric r ~p:0.01));
+  zero_alloc "bernoulli" (fun () -> ignore (Rng.bernoulli r 0.3));
+  let a = Array.init 16 Fun.id in
+  zero_alloc "pick" (fun () -> ignore (Rng.pick r a));
+  zero_alloc "shuffle" (fun () -> Rng.shuffle r a)
+
 (* --- Engine --- *)
 
 let test_engine_ordering () =
@@ -552,6 +668,7 @@ let () =
     [
       qsuite "heap-prop" [ prop_ipq_model ];
       qsuite "engine-prop" [ prop_engine_cancel_matches_reference ];
+      qsuite "rng-prop" [ prop_sampler_matches_geometric; prop_bits_is_int64 ];
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
@@ -569,6 +686,11 @@ let () =
           Alcotest.test_case "geometric mean" `Slow test_geometric_mean;
           Alcotest.test_case "geometric endpoints" `Quick test_geometric_endpoints;
           Alcotest.test_case "poisson endpoints" `Quick test_poisson_endpoints;
+          Alcotest.test_case "reference vectors" `Quick test_rng_reference_vectors;
+          Alcotest.test_case "split matches derive" `Quick test_rng_split_matches_derive;
+          Alcotest.test_case "copy independent" `Quick test_rng_copy_independent;
+          Alcotest.test_case "geometric sampler" `Quick test_geometric_sampler;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
         ] );
       ( "engine",
         [

@@ -490,6 +490,23 @@ let test_mc_rejects_bad_arguments () =
           ignore (Redundancy.mc_module_nmr rng ~n ~trials:10 ~p_fail:0.1)))
     [ 0; 2; 4; -1 ]
 
+(* An estimate allocates its scratch arrays and result once; a trial
+   allocates nothing, so ten times the trials cost the same minor words. *)
+let test_mc_allocation_per_estimate () =
+  let rng = Rng.create 24L in
+  let tmr = Circuit.replicate_with_voter (Circuit.random_logic rng ~n_inputs:8 ~n_gates:60) 3 in
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (f ());
+    Gc.minor_words () -. before
+  in
+  let circuit trials () = Redundancy.mc_circuit_correct rng tmr ~trials ~p_gate:0.01 in
+  let nmr trials () = Redundancy.mc_module_nmr rng ~n:3 ~trials ~p_fail:0.1 in
+  Alcotest.(check (float 0.0)) "mc_circuit_correct: 100k trials cost what 10k cost"
+    (words (circuit 10_000)) (words (circuit 100_000));
+  Alcotest.(check (float 0.0)) "mc_module_nmr: 100k trials cost what 10k cost"
+    (words (nmr 10_000)) (words (nmr 100_000))
+
 (* Standard score of a Monte-Carlo proportion against its exact value. *)
 let z_score ~estimate ~exact ~trials =
   (estimate -. exact) /. sqrt (exact *. (1.0 -. exact) /. float_of_int trials)
@@ -667,6 +684,7 @@ let () =
           Alcotest.test_case "mc endpoints" `Quick test_mc_endpoints;
           Alcotest.test_case "mc trial counts" `Quick test_mc_trial_counts;
           Alcotest.test_case "mc rejects bad arguments" `Quick test_mc_rejects_bad_arguments;
+          Alcotest.test_case "mc allocation per estimate" `Quick test_mc_allocation_per_estimate;
           Alcotest.test_case "mc xor chains closed form" `Slow test_mc_xor_chains_closed_form;
         ] );
       qsuite "bitslice-prop" [ prop_eval_words_matches_scalar ];
